@@ -1,10 +1,6 @@
-"""Hot kernels with a selectable backend.
+"""The two hot kernels, one numpy implementation each.
 
-Two code paths exist for each kernel: a numba-jitted loop and a pure
-numpy/python fallback. The environment variable HYPERMAPS_BACKEND picks one
-at import time ("numba" or "numpy"); the default is numba when importable.
-Both paths are kept behaviorally identical and are compared in the test
-suite and in benchmarks/bench_backends.py.
+Inputs are coerced to contiguous DTYPE arrays; outputs are DTYPE arrays.
 
 Kernels:
   canonical_code  -- breadth-first relabeling code minimized over all start
@@ -15,57 +11,25 @@ Kernels:
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
 DTYPE = np.int32
-
-try:
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - sandbox always has numba
-    HAS_NUMBA = False
-
-
-def _pick_backend() -> str:
-    requested = os.environ.get("HYPERMAPS_BACKEND", "").strip().lower()
-    if requested == "numba":
-        if not HAS_NUMBA:
-            raise RuntimeError("HYPERMAPS_BACKEND=numba but numba is not importable")
-        return "numba"
-    if requested == "numpy":
-        return "numpy"
-    if requested:
-        raise RuntimeError(
-            f"unknown HYPERMAPS_BACKEND {requested!r}; use 'numba' or 'numpy'"
-        )
-    return "numba" if HAS_NUMBA else "numpy"
-
-
-BACKEND = _pick_backend()
-
-
-def backend_name() -> str:
-    """Name of the active kernel backend ("numba" or "numpy")."""
-    return BACKEND
 
 
 # ---------------------------------------------------------------------------
 # canonical code
 
 
-def _canonical_code_numpy(hs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Reference implementation: BFS relabeling from every start flag.
+def canonical_code(hs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Breadth-first relabeling from every start flag.
 
     hs: (3, n) int array of generator images. Returns (code, sigma) where
     code is the lexicographically least concatenation of the relabeled
     generator images over all starts and sigma maps old flags to new labels.
     """
+    hs = np.ascontiguousarray(hs, dtype=DTYPE)
     n = hs.shape[1]
     h0, h1, h2 = hs[0], hs[1], hs[2]
-    arange = np.arange(n, dtype=DTYPE)
     best_code: list[int] | None = None
     best_sigma: np.ndarray | None = None
     for start in range(n):
@@ -91,60 +55,7 @@ def _canonical_code_numpy(hs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             best_code = code_list
             best_sigma = lab
     assert best_code is not None and best_sigma is not None
-    del arange
     return np.asarray(best_code, dtype=DTYPE), best_sigma
-
-
-if HAS_NUMBA:
-
-    @njit(cache=True)
-    def _canonical_code_numba(hs):  # pragma: no cover - exercised via dispatch
-        n = hs.shape[1]
-        best_code = np.empty(3 * n, DTYPE)
-        best_sigma = np.empty(n, DTYPE)
-        cur_code = np.empty(3 * n, DTYPE)
-        lab = np.empty(n, DTYPE)
-        order = np.empty(n, DTYPE)
-        have_best = False
-        for start in range(n):
-            for x in range(n):
-                lab[x] = -1
-            lab[start] = 0
-            order[0] = start
-            count = 1
-            head = 0
-            while head < count:
-                x = order[head]
-                head += 1
-                for gi in range(3):
-                    y = hs[gi, x]
-                    if lab[y] < 0:
-                        lab[y] = count
-                        order[count] = y
-                        count += 1
-            for gi in range(3):
-                base = gi * n
-                for x in range(n):
-                    cur_code[base + lab[x]] = lab[hs[gi, x]]
-            if not have_best:
-                best_code[:] = cur_code
-                best_sigma[:] = lab
-                have_best = True
-            else:
-                for t in range(3 * n):
-                    if cur_code[t] != best_code[t]:
-                        if cur_code[t] < best_code[t]:
-                            best_code[:] = cur_code
-                            best_sigma[:] = lab
-                        break
-        return best_code, best_sigma
-
-
-def canonical_code(hs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    hs = np.ascontiguousarray(hs, dtype=DTYPE)
-    if BACKEND == "numba":
-        return _canonical_code_numba(hs)
-    return _canonical_code_numpy(hs)
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +102,9 @@ def _pair_orbit_data(invs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return labels, counts
 
 
-def _spherical_triples_numpy(invs: np.ndarray) -> np.ndarray:
+def spherical_triples(invs: np.ndarray) -> np.ndarray:
+    """Ordered triples (i, j, k) of rows of invs forming a spherical hypermap."""
+    invs = np.ascontiguousarray(invs, dtype=DTYPE)
     m, n = invs.shape
     labels, counts = _pair_orbit_data(invs)
     target = n // 2 + 2
@@ -224,64 +137,4 @@ def _spherical_triples_numpy(invs: np.ndarray) -> np.ndarray:
                         merged -= 1
                 if merged == 1:
                     out.append((i, j, int(k)))
-    if not out:
-        return np.empty((0, 3), dtype=DTYPE)
-    return np.asarray(out, dtype=DTYPE)
-
-
-if HAS_NUMBA:
-
-    @njit(cache=True)
-    def _spherical_triples_numba(invs, labels, counts):  # pragma: no cover
-        m, n = invs.shape
-        target = n // 2 + 2
-        cap = 1024
-        out = np.empty((cap, 3), DTYPE)
-        total = 0
-        parent = np.empty(n, DTYPE)
-        for i in range(m):
-            for j in range(m):
-                base = counts[i, j]
-                for k in range(m):
-                    if counts[j, k] + counts[i, k] + base != target:
-                        continue
-                    lab = labels[i, j]
-                    nc = base
-                    for c in range(nc):
-                        parent[c] = c
-                    merged = nc
-                    for x in range(n):
-                        a = lab[x]
-                        while parent[a] != a:
-                            parent[a] = parent[parent[a]]
-                            a = parent[a]
-                        b = lab[invs[k, x]]
-                        while parent[b] != b:
-                            parent[b] = parent[parent[b]]
-                            b = parent[b]
-                        if a != b:
-                            if a < b:
-                                parent[b] = a
-                            else:
-                                parent[a] = b
-                            merged -= 1
-                    if merged == 1:
-                        if total == cap:
-                            cap *= 2
-                            grown = np.empty((cap, 3), DTYPE)
-                            grown[:total] = out[:total]
-                            out = grown
-                        out[total, 0] = i
-                        out[total, 1] = j
-                        out[total, 2] = k
-                        total += 1
-        return out[:total].copy()
-
-
-def spherical_triples(invs: np.ndarray) -> np.ndarray:
-    """Ordered triples (i, j, k) of rows of invs forming a spherical hypermap."""
-    invs = np.ascontiguousarray(invs, dtype=DTYPE)
-    if BACKEND == "numba":
-        labels, counts = _pair_orbit_data(invs)
-        return _spherical_triples_numba(invs, labels, counts)
-    return _spherical_triples_numpy(invs)
+    return np.asarray(out, dtype=DTYPE).reshape(-1, 3)

@@ -277,34 +277,38 @@ def are_isomorphic(a: Hypermap, b: Hypermap) -> bool:
     return canonical_code(a) == canonical_code(b)
 
 
+def _extend(a: Hypermap, b: Hypermap, target: int) -> np.ndarray | None:
+    """The unique equivariant map a -> b sending flag 0 to target, or None."""
+    a_rows = [p.images for p in a.h]
+    b_rows = [p.images for p in b.h]
+    psi = np.full(a.n_flags, -1, dtype=DTYPE)
+    psi[0] = target
+    queue = [0]
+    head = 0
+    while head < len(queue):
+        x = queue[head]
+        head += 1
+        px = psi[x]
+        for i in range(3):
+            y = int(a_rows[i][x])
+            img = int(b_rows[i][px])
+            if psi[y] < 0:
+                psi[y] = img
+                queue.append(y)
+            elif psi[y] != img:
+                return None
+    return psi
+
+
 def find_covering(a: Hypermap, b: Hypermap) -> tuple[int, ...] | None:
     """Generator-equivariant map psi with psi(x * h_i) = psi(x) * g_i.
 
     Candidate images for flag 0 are tried in increasing order; the first
     consistent extension is returned (surjective by transitivity), else None.
     """
-    a_rows = [p.images for p in a.h]
-    b_rows = [p.images for p in b.h]
     for target in range(b.n_flags):
-        psi = np.full(a.n_flags, -1, dtype=DTYPE)
-        psi[0] = target
-        queue = [0]
-        head = 0
-        ok = True
-        while head < len(queue) and ok:
-            x = queue[head]
-            head += 1
-            px = psi[x]
-            for i in range(3):
-                y = int(a_rows[i][x])
-                img = int(b_rows[i][px])
-                if psi[y] < 0:
-                    psi[y] = img
-                    queue.append(y)
-                elif psi[y] != img:
-                    ok = False
-                    break
-        if ok:
+        psi = _extend(a, b, target)
+        if psi is not None:
             return tuple(int(v) for v in psi)
     return None
 

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import DTYPE
+from .build import _class_arrays
 from .errors import NotBipartite, NotBipartiteRegular
 from .hypermap import (
     Hypermap,
@@ -157,10 +158,7 @@ def delta0_monodromy(h: Hypermap) -> FiniteGroup:
     colors = _parity_coloring(h, (1, 0, 0))
     if colors is None:
         raise NotBipartite("no vertex 2-coloring")
-    colors_arr = np.asarray(colors, dtype=DTYPE)
-    flags = np.nonzero(colors_arr == 0)[0].astype(DTYPE)
-    pos = np.full(h.n_flags, -1, dtype=DTYPE)
-    pos[flags] = np.arange(flags.shape[0], dtype=DTYPE)
+    flags, pos = _class_arrays(colors, 0)
     t0, t1, t2 = (p.images for p in h.h)
     words = (t1, t2, t0[t1[t0]], t0[t2[t0]])
     gens = tuple(Permutation(pos[w[flags]]) for w in words)

@@ -14,13 +14,14 @@ how everything here is computed (no infinite groups are represented).
 from __future__ import annotations
 
 import functools
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._kernels import DTYPE
 from .errors import NotBipartite, NotConservative
-from .hypermap import Hypermap, _parity_coloring, k_faces, monodromy_group
+from .hypermap import Hypermap, _extend, _parity_coloring, k_faces, monodromy_group
 from .perm import FiniteGroup, Permutation, _freeze, _group_from_rows
 
 __all__ = [
@@ -123,26 +124,17 @@ def _stab_matched_flags(h: Hypermap) -> np.ndarray:
     return mask
 
 
-def _automorphism_to(h: Hypermap, target: int) -> np.ndarray:
-    """The unique generator-equivariant bijection with 0 -> target."""
-    rows = [p.images for p in h.h]
-    sigma = np.full(h.n_flags, -1, dtype=DTYPE)
-    sigma[0] = target
-    queue = [0]
-    head = 0
-    while head < len(queue):
-        x = queue[head]
-        head += 1
-        sx = int(sigma[x])
-        for g in rows:
-            y = int(g[x])
-            img = int(g[sx])
-            if sigma[y] < 0:
-                sigma[y] = img
-                queue.append(y)
-            elif sigma[y] != img:
-                raise AssertionError("stabilizer-matched flag admitted no automorphism")
-    return sigma
+def _automorphism_group(h: Hypermap, targets: Iterable[int]) -> FiniteGroup:
+    """The automorphisms sending flag 0 to each of targets, as a group.
+
+    targets must be stabilizer-matched flags, listed with flag 0 first.
+    """
+    rows = [_extend(h, h, int(t)) for t in targets]
+    if any(row is None for row in rows):
+        raise AssertionError("stabilizer-matched flag admitted no automorphism")
+    matrix = np.stack(rows)
+    gens = tuple(Permutation._wrap(_freeze(row)) for row in matrix)
+    return _group_from_rows(h.n_flags, gens, matrix)
 
 
 def automorphisms(h: Hypermap) -> FiniteGroup:
@@ -151,10 +143,7 @@ def automorphisms(h: Hypermap) -> FiniteGroup:
     One automorphism per flag whose monodromy stabilizer equals flag 0's;
     the action is semi-regular, so the group order equals that flag count.
     """
-    targets = np.nonzero(_stab_matched_flags(h))[0]
-    rows = np.stack([_automorphism_to(h, int(t)) for t in targets])
-    gens = tuple(Permutation._wrap(_freeze(row)) for row in rows)
-    return _group_from_rows(h.n_flags, gens, rows)
+    return _automorphism_group(h, np.nonzero(_stab_matched_flags(h))[0])
 
 
 def is_regular(h: Hypermap) -> bool:
@@ -233,6 +222,4 @@ def theta_preserving_automorphisms(h: Hypermap, eps: ParityVector) -> FiniteGrou
     if colors is None:
         raise NotConservative(f"no {eps.bits}-coloring exists")
     targets = [int(t) for t in np.nonzero(_stab_matched_flags(h))[0] if colors[int(t)] == 0]
-    rows = np.stack([_automorphism_to(h, t) for t in targets])
-    gens = tuple(Permutation._wrap(_freeze(row)) for row in rows)
-    return _group_from_rows(h.n_flags, gens, rows)
+    return _automorphism_group(h, targets)

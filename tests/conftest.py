@@ -1,20 +1,9 @@
-"""Shared fixtures: the built catalog, oracle results, and kernel warmup."""
+"""Shared fixtures: the built catalog and oracle results."""
 
-import numpy as np
 import pytest
 
-import hypermaps
 from hypermaps import _kernels
 from hypermaps.catalog import brute_oracle, full_catalog
-
-
-@pytest.fixture(scope="session", autouse=True)
-def warm_kernels():
-    """Trigger any jit compilation once so timed tests measure steady state."""
-    h = hypermaps.build_Dn(2)
-    _kernels.canonical_code(h.generator_matrix())
-    invs = np.array([[1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]], dtype=_kernels.DTYPE)
-    _kernels.spherical_triples(invs)
 
 
 @pytest.fixture(scope="session")

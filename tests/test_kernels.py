@@ -1,59 +1,21 @@
-"""Both kernel implementations must agree bit for bit."""
+"""The hot kernels against their definitions and the naive references."""
 
-import os
-import subprocess
-import sys
+from itertools import product
 
 import numpy as np
 import pytest
 
+import bruteforce as bf
 from hypermaps import _kernels
-from hypermaps.catalog import fixed_point_free_involutions
+from hypermaps.catalog import build_named, fixed_point_free_involutions, full_catalog
+
+SMALL_ENTRIES = [name for name, h in full_catalog() if h.n_flags <= 240]
 
 
-class TestBackendSelection:
-    def test_backend_name_is_valid(self):
-        assert _kernels.backend_name() in ("numba", "numpy")
-
-    def test_env_flag_forces_numpy(self):
-        env = dict(os.environ, HYPERMAPS_BACKEND="numpy")
-        out = subprocess.run(
-            [sys.executable, "-c", "from hypermaps import _kernels; print(_kernels.backend_name())"],
-            capture_output=True,
-            text=True,
-            env=env,
-        )
-        assert out.returncode == 0
-        assert out.stdout.strip() == "numpy"
-
-    def test_unknown_backend_rejected(self):
-        env = dict(os.environ, HYPERMAPS_BACKEND="cuda")
-        out = subprocess.run(
-            [sys.executable, "-c", "import hypermaps"],
-            capture_output=True,
-            text=True,
-            env=env,
-        )
-        assert out.returncode != 0
-
-
-class TestCanonicalCodeParity:
-    def test_catalog_codes_agree(self, catalog):
-        if not _kernels.HAS_NUMBA:
-            pytest.skip("numba unavailable")
-        for _, h in catalog:
-            if h.n_flags > 600:
-                continue
-            hs = h.generator_matrix().astype(_kernels.DTYPE)
-            code_np, sigma_np = _kernels._canonical_code_numpy(hs)
-            code_nb, sigma_nb = _kernels._canonical_code_numba(hs)
-            assert np.array_equal(code_np, code_nb)
-            assert np.array_equal(sigma_np, sigma_nb)
-
-    def test_code_is_a_valid_relabeling(self):
-        from hypermaps.build import build_Pn
-
-        h = build_Pn(3)
+class TestCanonicalCode:
+    @pytest.mark.parametrize("name", SMALL_ENTRIES)
+    def test_code_is_a_valid_relabeling(self, name):
+        h = build_named(name)
         hs = h.generator_matrix().astype(_kernels.DTYPE)
         code, sigma = _kernels.canonical_code(hs)
         n = h.n_flags
@@ -64,19 +26,17 @@ class TestCanonicalCodeParity:
         assert np.array_equal(code.reshape(3, n), relabeled)
 
 
-class TestSphericalTriplesParity:
+class TestSphericalTriples:
     @pytest.mark.parametrize("n", [4, 6])
-    def test_triple_sets_agree(self, n):
-        if not _kernels.HAS_NUMBA:
-            pytest.skip("numba unavailable")
-        invs = fixed_point_free_involutions(n).astype(_kernels.DTYPE)
-        got_np = _kernels._spherical_triples_numpy(invs)
-        labels, counts = _kernels._pair_orbit_data(invs)
-        got_nb = _kernels._spherical_triples_numba(invs, labels, counts)
-        assert np.array_equal(np.asarray(got_np), np.asarray(got_nb))
-
-    def test_dispatch_matches_reference(self):
-        invs = fixed_point_free_involutions(4).astype(_kernels.DTYPE)
-        via_dispatch = _kernels.spherical_triples(invs)
-        reference = _kernels._spherical_triples_numpy(invs)
-        assert np.array_equal(np.asarray(via_dispatch), np.asarray(reference))
+    def test_spherical_triples_match_bruteforce(self, n):
+        invs = fixed_point_free_involutions(n)
+        rows = [tuple(int(v) for v in row) for row in invs]
+        expected = [
+            (i, j, k)
+            for i, j, k in product(range(len(rows)), repeat=3)
+            if len(bf.triple_orbits((rows[i], rows[j], rows[k]), (0, 1, 2))) == 1
+            and bf.triple_euler((rows[i], rows[j], rows[k])) == 2
+        ]
+        got = _kernels.spherical_triples(invs)
+        assert got.dtype == _kernels.DTYPE
+        assert [tuple(row) for row in got.tolist()] == expected
