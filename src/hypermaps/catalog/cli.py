@@ -26,7 +26,7 @@ from ..build import (
 )
 from ..errors import HypermapsError
 from ..hypermap import Hypermap, dual, from_text
-from ..quotients import AnalysisReport, analyze
+from ..quotients import AnalysisReport, QuotientSummary, analyze
 from . import HypermapDocument
 from .oracle import brute_oracle
 from .tables import VerificationRow, verify_table2, verify_table3, verify_theorem_mk
@@ -188,17 +188,15 @@ def _analysis_dict(report: AnalysisReport) -> dict:
             "lower_group_order": irr.lower_group_order,
             "upper_group_order": irr.upper_group_order,
         },
-        "closure_cover": {
-            "flags": report.closure_cover.flags,
-            "type": list(report.closure_cover.type.as_tuple()),
-            "genus": report.closure_cover.genus,
-        },
-        "covering_core": {
-            "flags": report.covering_core.flags,
-            "type": list(report.covering_core.type.as_tuple()),
-            "genus": report.covering_core.genus,
-        },
+        "closure_cover": _summary_dict(report.closure_cover),
+        "covering_core": _summary_dict(report.covering_core),
     }
+
+
+def _summary_dict(summary: QuotientSummary | None) -> dict | None:
+    if summary is None:
+        return None
+    return {"flags": summary.flags, "type": list(summary.type.as_tuple()), "genus": summary.genus}
 
 
 def _analysis_text(report: AnalysisReport) -> str:
@@ -223,10 +221,15 @@ def _analysis_text(report: AnalysisReport) -> str:
             f"irregularity        iota={irr.index} upsilon={irr.group}"
             f" (orders {irr.lower_group_order}/{irr.upper_group_order})"
         )
-    cc, core = report.closure_cover, report.covering_core
-    lines.append(f"closure cover       {cc.flags} flags, type {cc.type}, genus {cc.genus}")
-    lines.append(f"covering core       {core.flags} flags, type {core.type}, genus {core.genus}")
+    lines.append(f"closure cover       {_summary_text(report.closure_cover)}")
+    lines.append(f"covering core       {_summary_text(report.covering_core)}")
     return "\n".join(lines) + "\n"
+
+
+def _summary_text(summary: QuotientSummary | None) -> str:
+    if summary is None:
+        return "degenerate"
+    return f"{summary.flags} flags, type {summary.type}, genus {summary.genus}"
 
 
 def _cmd_analyze(args) -> int:

@@ -33,7 +33,7 @@ from ..hypermap import (
     type_of,
 )
 from ..perm import GroupName
-from ..quotients import closure_cover, covering_core, irregularity, monodromy
+from ..quotients import closure_cover, core_summary, irregularity, monodromy
 from ..theta import BIPARTITE, is_regular, is_theta_regular, theta_coloring
 from .registry import build_named
 
@@ -413,7 +413,7 @@ def verify_table3(n_max: int = 5) -> tuple[VerificationRow, ...]:
             expr = spec.expr.format(n=n)
             h = build_named(expr)
             cc = closure_cover(h)
-            core = covering_core(h)
+            core = core_summary(h)
             rep = irregularity(h)
             expected = {
                 "cc_type": spec.cc_type(n),
@@ -431,9 +431,9 @@ def verify_table3(n_max: int = 5) -> tuple[VerificationRow, ...]:
                 "cc_flags": cc.n_flags,
                 "cc_regular": is_regular(cc),
                 "cc_named": are_isomorphic(cc, build_named(spec.cc_expr(n))),
-                "core_type": type_of(core).as_tuple(),
-                "core_flags": core.n_flags,
-                "core_genus": surface_class(core).genus,
+                "core_type": core.type.as_tuple(),
+                "core_flags": core.flags,
+                "core_genus": core.genus,
                 "iota": rep.index,
                 "upsilon": str(rep.group),
             }

@@ -4,11 +4,22 @@ For a hypermap with monodromy group G acting on the flags:
 
 * the covering core is the regular hypermap on G itself (right
   multiplication by the generators), the smallest regular cover;
+  covering_core() builds it, while core_summary() derives its flags
+  (|G|), type (that of h) and genus (chi = |G|/2l + |G|/2m + |G|/2n -
+  |G|/2, orientability from h or from the index of the even words)
+  without building it;
 * the closure cover is the quotient of G by the normal closure of a flag
-  stabilizer, the largest regular hypermap the original covers;
+  stabilizer, the largest regular hypermap the original covers. Its flag
+  classes come from congruence closure on the flags, with no group: the
+  coset-coincidence union-find of coset enumeration (Holt, Eick &
+  O'Brien, Handbook of Computational Group Theory, 2005, ch. 5). When a
+  generator acts trivially on them the quotient is no hypermap and
+  closure_cover() raises Degenerate;
 * the irregularity index is |G| / |flags| (1 exactly for regular maps),
   and for bipartite-regular hypermaps the flag stabilizer itself is a
-  group Upsilon whose isomorphism type refines the index.
+  group Upsilon whose isomorphism type refines the index. The stabilizer
+  is a filter over G's elements; the normal closure's order, |G| over the
+  closure-cover class count, gives upper_group_order without building it.
 
 analyze() bundles the classification data for one hypermap into a report
 without ever materializing the automorphism group element-by-element, so
@@ -25,7 +36,7 @@ import numpy as np
 
 from ._kernels import DTYPE
 from .build import _class_arrays
-from .errors import NotBipartite, NotBipartiteRegular
+from .errors import Degenerate, NotBipartite, NotBipartiteRegular
 from .hypermap import (
     Hypermap,
     HypermapType,
@@ -43,9 +54,7 @@ from .perm import (
     Permutation,
     _freeze,
     generate_group,
-    normal_closure,
     point_stabilizer,
-    quotient_action,
     recognize_group,
 )
 from .theta import (
@@ -66,6 +75,7 @@ __all__ = [
     "monodromy",
     "covering_core",
     "closure_cover",
+    "core_summary",
     "irregularity",
     "delta0_monodromy",
     "analyze",
@@ -97,23 +107,121 @@ def covering_core(h: Hypermap) -> Hypermap:
     return Hypermap(group.order, *cols)
 
 
+# Entries (classes x targets) of the extension matrix that
+# _extension_conflicts builds per block of targets; bounds its memory.
+_EXTENSION_BLOCK = 1 << 20
+
+
+def _extension_conflicts(q: np.ndarray) -> np.ndarray:
+    """Class pairs that every regular quotient of q must identify.
+
+    q is the (3, k) action of the generators on k classes. For each target
+    class x, the equivariant map sending class 0 to x is propagated along a
+    breadth-first tree of the quotient, all targets at once; an edge whose
+    two ends disagree yields a pair. Returns the pairs of the first block of
+    targets that has any, as a (2, p) array; (2, 0) when every extension is
+    consistent, that is when the quotient is regular.
+    """
+    k = q.shape[1]
+    tree: list[tuple[int, int, int]] = []  # (class, parent, generator)
+    seen = np.zeros(k, dtype=bool)
+    seen[0] = True
+    queue = [0]
+    for x in queue:
+        for i in range(3):
+            y = int(q[i, x])
+            if not seen[y]:
+                seen[y] = True
+                tree.append((y, x, i))
+                queue.append(y)
+    step = max(1, _EXTENSION_BLOCK // k)
+    for start in range(0, k, step):
+        # psi[c, t]: image of class c under the extension to target start + t
+        psi = np.empty((k, min(step, k - start)), dtype=DTYPE)
+        psi[0] = np.arange(start, start + psi.shape[1], dtype=DTYPE)
+        for y, x, i in tree:
+            psi[y] = q[i][psi[x]]
+        lhs = psi[q]  # psi(c h_i)
+        rhs = np.stack([q[i][psi] for i in range(3)])  # psi(c) h_i
+        bad = lhs != rhs
+        if bad.any():
+            return np.unique(np.stack([lhs[bad], rhs[bad]]), axis=1)
+    return np.empty((2, 0), dtype=DTYPE)
+
+
+def _merge(q: np.ndarray, pairs: np.ndarray) -> np.ndarray:
+    """Root of each class after joining the pairs and closing under q.
+
+    Union-find with coincidence processing: joining two roots forces their
+    images under each generator together, as in coset enumeration.
+    """
+    parent = list(range(q.shape[1]))
+    rows = q.tolist()
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    stack = list(zip(pairs[0].tolist(), pairs[1].tolist()))
+    while stack:
+        a, b = stack.pop()
+        a, b = find(a), find(b)
+        if a == b:
+            continue
+        parent[max(a, b)] = min(a, b)
+        stack.extend((row[a], row[b]) for row in rows)
+    return np.fromiter((find(x) for x in range(len(parent))), dtype=DTYPE, count=len(parent))
+
+
 @functools.lru_cache(maxsize=64)
-def _stab_and_closure(h: Hypermap) -> tuple[FiniteGroup, FiniteGroup]:
-    group = monodromy_group(h)
-    stab = point_stabilizer(group, 0)
-    return stab, normal_closure(group, stab.generators)
+def _stab_and_closure(h: Hypermap) -> np.ndarray:
+    """The closure-cover partition of the flags, as a read-only label array.
+
+    Its classes are the orbits of the normal closure of the flag-0
+    stabilizer in the monodromy group; flag 0 is in class 0 and classes are
+    numbered by first appearance. Computed without the group, by congruence
+    closure from the discrete partition: every extension conflict of
+    class 0 -> x is merged, then the partition is closed under h0, h1, h2,
+    until every extension is consistent. Each merge is forced, because a
+    regular quotient has an automorphism sending class 0 to any class; so
+    the fixpoint is the largest regular quotient.
+    """
+    rows = h.generator_matrix()
+    labels = np.arange(h.n_flags, dtype=DTYPE)
+    while True:
+        _, reps = np.unique(labels, return_index=True)
+        q = labels[rows[:, reps]]
+        pairs = _extension_conflicts(q)
+        if not pairs.size:
+            labels.setflags(write=False)
+            return labels
+        # roots are the least merged class, so their order is first appearance
+        labels = np.unique(_merge(q, pairs)[labels], return_inverse=True)[1].astype(DTYPE)
 
 
 def closure_cover(h: Hypermap) -> Hypermap:
     """The largest regular hypermap covered by h.
 
-    Quotient of the monodromy group by the normal closure of the flag-0
-    stabilizer; generators act on the cosets.
+    Generators act on the closure-cover classes of the flags. Raises
+    Degenerate when a generator acts trivially on the classes, so that the
+    quotient is no hypermap (for example when Mon is the full symmetric
+    group and there is one class).
     """
-    group = monodromy_group(h)
-    _, closure = _stab_and_closure(h)
-    count, perms = quotient_action(group, closure)
-    return Hypermap(count, *perms)
+    labels = _stab_and_closure(h)
+    count = int(labels.max()) + 1
+    images = []
+    for p in h.h:
+        img = np.empty(count, dtype=DTYPE)
+        img[labels] = labels[p.images]
+        images.append(img)
+    trivial = [f"h{i}" for i, img in enumerate(images) if np.array_equal(img, np.arange(count))]
+    if trivial:
+        raise Degenerate(
+            f"trivial generators {', '.join(trivial)} in the closure cover (class count {count})"
+        )
+    return Hypermap(count, *images)
 
 
 @dataclass(frozen=True)
@@ -140,12 +248,14 @@ def irregularity(h: Hypermap) -> IrregularityReport:
     index, rem = divmod(group.order, h.n_flags)
     if rem:
         raise AssertionError("monodromy order not divisible by flag count")
-    stab, closure = _stab_and_closure(h)
+    stab = point_stabilizer(group, 0)
+    # |closure| = |Mon| / classes and upper = |closure| / index
+    classes = int(_stab_and_closure(h).max()) + 1
     return IrregularityReport(
         index=index,
         group=recognize_group(stab),
         lower_group_order=stab.order,
-        upper_group_order=closure.order // index,
+        upper_group_order=h.n_flags // classes,
     )
 
 
@@ -167,13 +277,40 @@ def delta0_monodromy(h: Hypermap) -> FiniteGroup:
 
 @dataclass(frozen=True)
 class QuotientSummary:
+    """Flag count, type and genus of a regular quotient or cover."""
+
     flags: int
     type: HypermapType
     genus: int
 
 
-def _summarize(h: Hypermap) -> QuotientSummary:
-    return QuotientSummary(flags=h.n_flags, type=type_of(h), genus=surface_class(h).genus)
+def core_summary(h: Hypermap) -> QuotientSummary:
+    """Flags, type and genus of covering_core(h), without building it.
+
+    The core has |Mon| flags; its type is h's, since each valency lcm is the
+    order of a product of two generators in Mon, and its k-faces number
+    |Mon| over twice those orders. The core covers h, so it is orientable
+    when h is; otherwise exactly when the even words <h0 h1, h1 h2> have
+    index 2 in Mon.
+    """
+    order = monodromy_group(h).order
+    t = type_of(h)
+    chi = order // (2 * t.l) + order // (2 * t.m) + order // (2 * t.n) - order // 2
+    orientable = _parity_coloring(h, (1, 1, 1)) is not None
+    if not orientable:
+        h0, h1, h2 = h.h
+        orientable = 2 * generate_group((h0 * h1, h1 * h2)).order == order
+    return QuotientSummary(
+        flags=order, type=t, genus=SurfaceClass.from_characteristic(chi, orientable).genus
+    )
+
+
+def _closure_summary(h: Hypermap) -> QuotientSummary | None:
+    try:
+        cc = closure_cover(h)
+    except Degenerate:
+        return None
+    return QuotientSummary(flags=cc.n_flags, type=type_of(cc), genus=surface_class(cc).genus)
 
 
 @dataclass(frozen=True)
@@ -193,15 +330,16 @@ class AnalysisReport:
     bipartite_chiral: bool | None
     monodromy_order: int
     irregularity: IrregularityReport | None
-    closure_cover: QuotientSummary
+    closure_cover: QuotientSummary | None
     covering_core: QuotientSummary
 
 
 def analyze(h: Hypermap) -> AnalysisReport:
     """Full classification; avoids building any automorphism group.
 
-    bipartite_chiral is None for non-bipartite inputs, and the
-    irregularity field is present exactly when h is bipartite-regular.
+    bipartite_chiral is None for non-bipartite inputs, the irregularity
+    field is present exactly when h is bipartite-regular, and closure_cover
+    is None exactly when the closure cover is degenerate.
     """
     colorable = {v.bits: theta_coloring(h, v) is not None for v in PARITY_VECTORS}
     regular_by_theta = {v.bits: is_theta_regular(h, v) for v in PARITY_VECTORS}
@@ -221,6 +359,6 @@ def analyze(h: Hypermap) -> AnalysisReport:
         bipartite_chiral=is_bipartite_chiral(h) if bipartite else None,
         monodromy_order=monodromy_group(h).order,
         irregularity=irregularity(h) if bip_regular else None,
-        closure_cover=_summarize(closure_cover(h)),
-        covering_core=_summarize(covering_core(h)),
+        closure_cover=_closure_summary(h),
+        covering_core=core_summary(h),
     )

@@ -27,8 +27,16 @@ def oracle8(oracle8_timed):
 
 @pytest.fixture(scope="session")
 def classes8():
-    """Canonical representatives of every 8-flag spherical class."""
+    """Canonical representatives of every 8-flag spherical class.
+
+    Only the triples whose h0 is the first involution are classified:
+    relabelling the flags moves any fixed-point-free h0 to any other, so
+    that slice meets every class. The oracle8 fixture runs the full search.
+    """
     from hypermaps.catalog.oracle import _classes_from_triples, fixed_point_free_involutions
 
     invs = fixed_point_free_involutions(8)
-    return _classes_from_triples(invs, _kernels.spherical_triples(invs))
+    triples = _kernels.spherical_triples(invs)
+    classes = _classes_from_triples(invs, triples[triples[:, 0] == 0])
+    assert len(classes) == 20
+    return classes

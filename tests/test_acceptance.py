@@ -1,8 +1,8 @@
 """Acceptance gate: seven criteria, each printing one PASS/FAIL line.
 
-Budgets are wall-clock seconds measured after the session-wide kernel
-warmup, so jit compilation is not billed to any criterion. Run with -s
-(or read failure output) to see the per-criterion lines.
+Budgets are wall-clock seconds of each criterion's own run, on the numpy
+kernels. Run with -s (or read failure output) to see the per-criterion
+lines.
 """
 
 from __future__ import annotations

@@ -241,6 +241,18 @@ class TestAnalyze:
         assert report["covering_core"]["flags"] == 14400
         assert report["covering_core"]["genus"] == 841
 
+    def test_degenerate_closure_cover_is_reported(self):
+        # valid input whose closure cover has one class: no HasFixedPoint
+        doc = "hypermap 6\nh0: 1 0 3 2 5 4\nh1: 1 0 4 5 2 3\nh2: 2 5 0 4 3 1\n"
+        code, out, err = run_cli(["analyze", "--json"], stdin_text=doc)
+        assert code == 0, err
+        report = json.loads(out)
+        assert report["closure_cover"] is None
+        assert report["covering_core"] == {"flags": 24, "type": [3, 3, 2], "genus": 0}
+        code, out, err = run_cli(["analyze"], stdin_text=doc)
+        assert code == 0, err
+        assert "closure cover       degenerate\n" in out
+
     def test_text_report_mentions_key_lines(self):
         code, out, _ = run_cli(["analyze"], stdin_text=build_text("Dn", "5"))
         assert code == 0

@@ -1,24 +1,42 @@
 """Monodromy, regular quotients, irregularity, and the analysis report."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from hypermaps import (
+    Degenerate,
     GroupName,
+    Hypermap,
     NotBipartite,
     NotBipartiteRegular,
+    NotTransitive,
     are_isomorphic,
     dual,
     euler_characteristic,
     find_covering,
+    from_text,
     is_regular,
+    normal_closure,
+    point_stabilizer,
+    quotient_action,
     surface_class,
     type_of,
     validate,
 )
 from hypermaps.build import build_Dn, build_Mk, build_platonic, build_Pn, pin, walsh
+from hypermaps.catalog.oracle import fixed_point_free_involutions
 from hypermaps.quotients import (
+    QuotientSummary,
     analyze,
     closure_cover,
+    core_summary,
     covering_core,
     delta0_monodromy,
     irregularity,
@@ -26,6 +44,51 @@ from hypermaps.quotients import (
 )
 
 import bruteforce as bf
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# A valid document whose monodromy group is S4 acting on 6 flags: its closure
+# cover has one class, so every generator acts trivially on it.
+DEGENERATE_6 = """hypermap 6
+h0: 1 0 3 2 5 4
+h1: 1 0 4 5 2 3
+h2: 2 5 0 4 3 1
+"""
+# Inputs that pin the three orientability cases of the covering core; the
+# degenerate document is the one with a non-orientable h and orientable core.
+ORIENTABLE_6 = ((1, 0, 3, 2, 5, 4), (1, 0, 3, 2, 5, 4), (2, 4, 0, 5, 1, 3))
+ORIENTABLE_CORE_6 = tuple(tuple(p.images.tolist()) for p in from_text(DEGENERATE_6).h)
+NON_ORIENTABLE_CORE_8 = (
+    (1, 0, 3, 2, 5, 4, 7, 6),
+    (2, 3, 0, 1, 6, 7, 4, 5),
+    (4, 5, 7, 6, 0, 1, 3, 2),
+)
+INVOLUTIONS = {n: [tuple(row.tolist()) for row in fixed_point_free_involutions(n)] for n in (6, 8)}
+
+
+def assert_matches_group_reference(h):
+    """closure_cover and core_summary against the explicit group constructions:
+    Mon modulo the normal closure of the flag-0 stabilizer, and the core."""
+    mon = monodromy(h)
+    count, perms = quotient_action(mon, normal_closure(mon, point_stabilizer(mon, 0).generators))
+    if any(p.is_identity() for p in perms):
+        with pytest.raises(Degenerate):
+            closure_cover(h)
+    else:
+        assert are_isomorphic(closure_cover(h), Hypermap(count, *perms))
+    core = covering_core(h)
+    assert core_summary(h) == QuotientSummary(core.n_flags, type_of(core), surface_class(core).genus)
+
+
+@st.composite
+def transitive_triples(draw):
+    n = draw(st.sampled_from(sorted(INVOLUTIONS)))
+    triple = tuple(draw(st.sampled_from(INVOLUTIONS[n])) for _ in range(3))
+    try:
+        validate(n, *triple)
+    except NotTransitive:
+        assume(False)
+    return triple
 
 
 class TestMonodromy:
@@ -105,6 +168,41 @@ class TestClosureCover:
         for _, h in catalog[:12]:
             small = closure_cover(h)
             assert h.n_flags % small.n_flags == 0
+
+    def test_degenerate_cover_is_typed(self):
+        h = from_text(DEGENERATE_6)
+        with pytest.raises(Degenerate, match=r"h0, h1, h2 in the closure cover \(class count 1\)"):
+            closure_cover(h)
+        assert analyze(h).closure_cover is None
+
+
+class TestAgainstGroupReference:
+    def test_catalog(self, catalog):
+        checked = 0
+        for _, h in catalog:
+            if monodromy(h).order <= 2500:
+                assert_matches_group_reference(h)
+                checked += 1
+        assert checked >= 60
+
+    def test_eight_flag_classes(self, classes8):
+        for hs in classes8.values():
+            assert_matches_group_reference(validate(8, *hs))
+
+    def test_examples_cover_every_case(self):
+        cases = set()
+        for triple in (ORIENTABLE_6, ORIENTABLE_CORE_6, NON_ORIENTABLE_CORE_8):
+            h = validate(len(triple[0]), *triple)
+            cases.add((surface_class(h).orientable, surface_class(covering_core(h)).orientable))
+        assert cases == {(True, True), (False, True), (False, False)}
+
+    @settings(max_examples=60, deadline=None)
+    @given(triple=transitive_triples())
+    @example(triple=ORIENTABLE_6)
+    @example(triple=ORIENTABLE_CORE_6)
+    @example(triple=NON_ORIENTABLE_CORE_8)
+    def test_random_triples(self, triple):
+        assert_matches_group_reference(validate(len(triple[0]), *triple))
 
 
 class TestIrregularity:
@@ -225,3 +323,33 @@ class TestAnalyze:
             assert report.monodromy_order == monodromy(h).order
             assert report.regular == is_regular(h)
             assert (report.irregularity is not None) == report.bipartite_regular
+
+    def test_doubled_pin_tetrahedron_fits_in_memory(self):
+        # |Mon| = 331776: a normal closure over the group ran out of memory
+        # here; the group-free quotients stay well under the limit
+        script = (
+            "import json\n"
+            "from hypermaps.catalog.registry import build_named\n"
+            "from hypermaps.quotients import analyze\n"
+            "r = analyze(build_named('wal(pin(T))'))\n"
+            "print(json.dumps([r.monodromy_order, r.closure_cover.flags,\n"
+            "    r.covering_core.flags, r.covering_core.type.as_tuple(), r.covering_core.genus]))\n"
+        )
+        limit = 1536 * 2**20
+
+        def cap_address_space():
+            import resource
+
+            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+        env = dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS="1")
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            env=env,
+            preexec_fn=cap_address_space,
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == [331776, 4, 331776, [12, 2, 12], 27649]
