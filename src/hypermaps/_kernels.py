@@ -1,12 +1,13 @@
-"""The two hot kernels, one numpy implementation each.
+"""The two hot kernels, as array code over whole batches.
 
 Inputs are coerced to contiguous DTYPE arrays; outputs are DTYPE arrays.
 
-Kernels:
-  canonical_code  -- breadth-first relabeling code minimized over all start
-                     flags (the certificate behind canonical_form).
-  spherical_triples -- scan of involution triples for the transitive,
-                     Euler-characteristic-2 survivors (brute-force oracle).
+  canonical_codes -- least breadth-first relabeling code over all start flags
+      (as in plantri, Brinkmann & McKay 2007), the certificate behind
+      canonical_form; the searches of all (triple, start) instances advance
+      one head at a time. canonical_code is the one-triple form.
+  spherical_triples -- the transitive, Euler-characteristic-2 involution
+      triples (brute-force oracle), by orbit-label propagation.
 """
 
 from __future__ import annotations
@@ -15,126 +16,129 @@ import numpy as np
 
 DTYPE = np.int32
 
+# Entries of the (instances, n) label array of one canonical_codes block:
+# whole triples while n * n fits, else blocks of one triple's starts.
+_CODE_BLOCK = 1 << 18
 
-# ---------------------------------------------------------------------------
-# canonical code
+
+def _least_starts(hs: np.ndarray, starts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(codes, sigmas) of the least of the starts (S,) on each of the triples
+    hs (G, 3, n); ties keep the first of the starts."""
+    g_count, s_count, n = hs.shape[0], starts.size, hs.shape[2]
+    r_count, hflat = g_count * s_count, hs.reshape(-1)
+    row_at = np.arange(r_count) * (n + 1)  # lab and order have a scratch column
+    gen_at = np.repeat(np.arange(g_count) * (3 * n), s_count)  # offsets in hflat
+    first = np.tile(starts, g_count)
+    lab = np.full(r_count * (n + 1), -1, dtype=DTYPE)
+    lab[row_at + first] = 0
+    # Unreached slots hold flags of the start's orbit, so reading past the
+    # end of an exhausted search labels nothing new.
+    order = np.repeat(first.astype(DTYPE), n + 1)
+    count = np.ones(r_count, dtype=DTYPE)
+    for head in range(n):
+        x = order[row_at + head]
+        for g in range(3):
+            y = hflat[gen_at + (g * n) + x]
+            at = row_at + y
+            new = lab[at] < 0
+            lab[at[new]] = count[new]
+            order[row_at + count] = y
+            count += new
+    if count.min() < n:
+        raise ValueError("the generators do not act transitively")
+
+    def columns(r: np.ndarray, c: np.ndarray) -> np.ndarray:
+        """Code entries lab[r, g[order[r, k]]] at columns c = g * n + k."""
+        g, k = np.divmod(c, n)
+        x = order[row_at[r, None] + k]
+        return lab[row_at[r, None] + hflat[gen_at[r, None] + g * n + x]]
+
+    # Columns per step: as many base-n digits as fit an int64 key.
+    width = max(1, min(3 * n, int(62 / np.log2(max(n, 2))), _CODE_BLOCK // r_count))
+    powers = n ** np.arange(width - 1, -1, -1, dtype=np.int64)
+    live = np.ones((g_count, s_count), dtype=bool)
+    act = np.arange(g_count)  # triples with more than one live start
+    for c0 in range(0, 3 * n, width):
+        c = np.arange(c0, min(c0 + width, 3 * n))
+        r = (act[:, None] * s_count + np.arange(s_count)).reshape(-1)
+        key = (columns(r, c) @ powers[width - c.size :]).reshape(act.size, s_count)
+        sub = live[act]
+        key[~sub] = np.iinfo(np.int64).max
+        sub &= key == key.min(axis=1, keepdims=True)
+        live[act] = sub
+        act = act[sub.sum(axis=1) > 1]
+        if act.size == 0:
+            break
+    win = np.arange(g_count) * s_count + live.argmax(axis=1)
+    return columns(win, np.arange(3 * n)), lab.reshape(r_count, n + 1)[win, :n]
+
+
+def canonical_codes(hs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Breadth-first relabeling from every start flag, for a batch.
+
+    hs: (B, 3, n) generator images of B transitive triples (else ValueError).
+    Returns codes (B, 3n), each the lexicographically least concatenation of
+    the relabeled generator images over all starts (the first such start on
+    ties), and sigmas (B, n), which map old flags to their new labels.
+    """
+    hs = np.ascontiguousarray(hs, dtype=DTYPE)
+    b_count, _, n = hs.shape
+    codes = np.full((b_count, 3 * n), n, dtype=DTYPE)  # above every code
+    sigmas = np.empty((b_count, n), dtype=DTYPE)
+    step = max(1, _CODE_BLOCK // (n * n))  # triples per block
+    span = max(1, _CODE_BLOCK // n)  # starts per block
+    for b in range(0, b_count, step):
+        block, cur, cur_sigma = hs[b : b + step], codes[b : b + step], sigmas[b : b + step]
+        for s in range(0, n, span):
+            code, sigma = _least_starts(block, np.arange(s, min(s + span, n)))
+            col = (code != cur).argmax(axis=1)[:, None]
+            better = np.take_along_axis(code < cur, col, axis=1)[:, 0]
+            cur[better], cur_sigma[better] = code[better], sigma[better]
+    return codes, sigmas
 
 
 def canonical_code(hs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Breadth-first relabeling from every start flag.
-
-    hs: (3, n) int array of generator images. Returns (code, sigma) where
-    code is the lexicographically least concatenation of the relabeled
-    generator images over all starts and sigma maps old flags to new labels.
-    """
-    hs = np.ascontiguousarray(hs, dtype=DTYPE)
-    n = hs.shape[1]
-    h0, h1, h2 = hs[0], hs[1], hs[2]
-    best_code: list[int] | None = None
-    best_sigma: np.ndarray | None = None
-    for start in range(n):
-        lab = np.full(n, -1, dtype=DTYPE)
-        order = [start]
-        lab[start] = 0
-        head = 0
-        while head < len(order):
-            x = order[head]
-            head += 1
-            for g in (h0, h1, h2):
-                y = int(g[x])
-                if lab[y] < 0:
-                    lab[y] = len(order)
-                    order.append(y)
-        code = np.empty(3 * n, dtype=DTYPE)
-        for gi, g in enumerate((h0, h1, h2)):
-            block = np.empty(n, dtype=DTYPE)
-            block[lab] = lab[g]
-            code[gi * n : (gi + 1) * n] = block
-        code_list = code.tolist()
-        if best_code is None or code_list < best_code:
-            best_code = code_list
-            best_sigma = lab
-    assert best_code is not None and best_sigma is not None
-    return np.asarray(best_code, dtype=DTYPE), best_sigma
+    """(code, sigma) of one (3, n) generator triple; see canonical_codes."""
+    return tuple(batch[0] for batch in canonical_codes(np.asarray(hs)[None]))
 
 
-# ---------------------------------------------------------------------------
-# oracle triple scan
-#
-# Input: the (m, n) matrix of all fixed-point-free involutions on n points.
-# Output: all ordered index triples (i, j, k) whose involutions act
-# transitively with V + E + F - n/2 == 2, where V, E, F count the orbits of
-# the generator pairs (j,k), (i,k), (i,j).
-
-
-def _pair_orbit_data(invs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Component labels and counts for every ordered pair of involutions.
-
-    labels[a, b] assigns each point its <invs[a], invs[b]>-orbit id;
-    counts[a, b] is the number of orbits. Symmetric in (a, b).
-    """
-    m, n = invs.shape
-    labels = np.empty((m, m, n), dtype=DTYPE)
-    counts = np.empty((m, m), dtype=DTYPE)
-    for a in range(m):
-        pa = invs[a]
-        for b in range(a, m):
-            pb = invs[b]
-            lab = np.full(n, -1, dtype=DTYPE)
-            cnt = 0
-            for s in range(n):
-                if lab[s] >= 0:
-                    continue
-                stack = [s]
-                lab[s] = cnt
-                while stack:
-                    x = stack.pop()
-                    for g in (pa, pb):
-                        y = int(g[x])
-                        if lab[y] < 0:
-                            lab[y] = cnt
-                            stack.append(y)
-                cnt += 1
-            labels[a, b] = lab
-            labels[b, a] = lab
-            counts[a, b] = cnt
-            counts[b, a] = cnt
-    return labels, counts
+def _orbit_labels(gens: np.ndarray, lab: np.ndarray) -> np.ndarray:
+    """Least point of each orbit of the generator stacks gens (..., g, n),
+    from labels lab (..., n) that are points of their orbits, each orbit's
+    least point labelled by itself: min over the images, then lab = lab[lab],
+    on positions in the flattened lab so that one take serves every row."""
+    at = np.arange(0, lab.size, lab.shape[-1]).reshape(lab.shape[:-1] + (1,))
+    moves = [(gens[..., i, :] + at).reshape(-1) for i in range(gens.shape[-2])]
+    flat = (lab + at).reshape(-1)
+    while True:
+        new = flat
+        for move in moves:
+            new = np.minimum(new, flat[move])
+        new = new[new]
+        if np.array_equal(new, flat):
+            return flat.reshape(lab.shape) - at
+        flat = new
 
 
 def spherical_triples(invs: np.ndarray) -> np.ndarray:
-    """Ordered triples (i, j, k) of rows of invs forming a spherical hypermap."""
+    """Ordered triples (i, j, k) of rows of invs forming a spherical hypermap.
+
+    invs: all (m, n) fixed-point-free involutions on n points. A triple is
+    kept when it acts transitively with V + E + F - n/2 == 2, where V, E, F
+    count the orbits of the generator pairs (j,k), (i,k), (i,j).
+    """
     invs = np.ascontiguousarray(invs, dtype=DTYPE)
     m, n = invs.shape
-    labels, counts = _pair_orbit_data(invs)
-    target = n // 2 + 2
-    out: list[tuple[int, int, int]] = []
+    points = np.arange(n, dtype=DTYPE)
+    # labels[a, b], counts[a, b]: orbit labels and orbit count of <invs[a], invs[b]>
+    pairs = np.stack(np.broadcast_arrays(invs[:, None], invs[None, :]), axis=2)
+    labels = _orbit_labels(pairs, np.broadcast_to(points, (m, m, n)))
+    counts = (labels == points).sum(axis=-1)
+    out = []
     for i in range(m):
-        row_i = counts[i]
-        for j in range(m):
-            # V + E + F with V from (j,k), E from (i,k), F from (i,j)
-            sums = counts[j] + row_i + counts[i, j]
-            hits = np.nonzero(sums == target)[0]
-            for k in hits:
-                lab = labels[i, j]
-                comp = lab.copy()
-                # union the (i,j)-components along involution k
-                parent = list(range(int(counts[i, j])))
-
-                def find(c: int) -> int:
-                    while parent[c] != c:
-                        parent[c] = parent[parent[c]]
-                        c = parent[c]
-                    return c
-
-                pk = invs[k]
-                merged = int(counts[i, j])
-                for x in range(n):
-                    a = find(int(comp[x]))
-                    b = find(int(comp[int(pk[x])]))
-                    if a != b:
-                        parent[max(a, b)] = min(a, b)
-                        merged -= 1
-                if merged == 1:
-                    out.append((i, j, int(k)))
-    return np.asarray(out, dtype=DTYPE).reshape(-1, 3)
+        # V + E + F with V from (j,k), E from (i,k), F from (i,j)
+        jk = np.argwhere(counts + counts[i] + counts[i, :, None] == n // 2 + 2)
+        gens = np.stack(np.broadcast_arrays(invs[i], *invs[jk.T]), axis=1)
+        hits = jk[~_orbit_labels(gens, labels[i, jk[:, 0]]).any(axis=1)]
+        out.append(np.column_stack([np.full(hits.shape[0], i), hits]).astype(DTYPE))
+    return np.concatenate(out).reshape(-1, 3)

@@ -12,8 +12,9 @@ canonical form, and checks each isomorphism class against three claims:
 The per-class classification here is deliberately written out locally (plain
 breadth-first searches on small arrays) instead of calling the library's own
 predicates, so a defect in those would surface as a disagreement rather than
-be confirmed by itself. A second enumeration pass fixes h0 to the standard
-involution and re-counts the isomorphism classes; the counts must agree.
+be confirmed by itself. A second pass fixes h0 to the standard involution,
+filters with the local transitivity and Euler checks instead of the array
+scan, and re-counts the classes; the counts must agree.
 """
 
 from __future__ import annotations
@@ -29,6 +30,8 @@ from ..hypermap import canonical_code
 from .registry import full_catalog
 
 __all__ = ["OracleReport", "brute_oracle", "fixed_point_free_involutions"]
+
+_TRIPLE_BLOCK = 1 << 14  # triples canonicalized per call
 
 
 def fixed_point_free_involutions(n: int) -> np.ndarray:
@@ -190,33 +193,24 @@ def _double_codes(max_flags: int) -> set[bytes]:
     return codes
 
 
-def _classes_from_triples(
-    invs: np.ndarray, triples: np.ndarray
-) -> dict[bytes, np.ndarray]:
+def _classes_from_triples(invs: np.ndarray, triples: np.ndarray) -> dict[bytes, np.ndarray]:
     """Dedupe candidate triples by canonical code; values are (3, n) arrays."""
-    classes: dict[bytes, np.ndarray] = {}
-    for i, j, k in triples:
-        hs = np.stack([invs[i], invs[j], invs[k]])
-        code, _ = _kernels.canonical_code(hs)
-        key = code.tobytes()
-        if key not in classes:
-            classes[key] = hs
-    return classes
+    firsts: dict[bytes, np.ndarray] = {}
+    for b in range(0, triples.shape[0], _TRIPLE_BLOCK):
+        block = triples[b : b + _TRIPLE_BLOCK]
+        codes, _ = _kernels.canonical_codes(invs[block])
+        for code, triple in zip(codes, block):
+            firsts.setdefault(code.tobytes(), triple)
+    return {key: invs[triple] for key, triple in firsts.items()}
 
 
 def _recount_fixed_h0(invs: np.ndarray, n: int) -> int:
     """Independent pass: h0 pinned to the standard pairing (0 1)(2 3)..."""
     standard = np.arange(n, dtype=DTYPE) ^ 1
-    codes: set[bytes] = set()
-    for j, k in itertools.product(range(invs.shape[0]), repeat=2):
-        hs = np.stack([standard, invs[j], invs[k]])
-        if not _local_is_transitive(hs):
-            continue
-        if _local_euler(hs) != 2:
-            continue
-        code, _ = _kernels.canonical_code(hs)
-        codes.add(code.tobytes())
-    return len(codes)
+    stacks = (np.stack([standard, a, b]) for a, b in itertools.product(invs, repeat=2))
+    kept = [hs for hs in stacks if _local_is_transitive(hs) and _local_euler(hs) == 2]
+    codes, _ = _kernels.canonical_codes(np.stack(kept))
+    return len({code.tobytes() for code in codes})
 
 
 def brute_oracle(max_flags: int = 8) -> OracleReport:
