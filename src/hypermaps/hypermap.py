@@ -6,8 +6,10 @@ k=0, hyperedges for k=1, hyperfaces for k=2) are the orbits of the two
 generators other than h_k; a face's valency is half its orbit size. The
 base flag is index 0 everywhere a distinguished flag is needed.
 
-Values are immutable and hashable; the monodromy group is computed once
-per hypermap and memoized.
+Values are immutable and hashable. The monodromy group is memoized for the
+four most recently used hypermaps only, since one group can hold hundreds
+of megabytes; analyze() and the table verifiers ask for it back to back on
+one map.
 """
 
 from __future__ import annotations
@@ -277,45 +279,69 @@ def are_isomorphic(a: Hypermap, b: Hypermap) -> bool:
     return canonical_code(a) == canonical_code(b)
 
 
-def _extend(a: Hypermap, b: Hypermap, target: int) -> np.ndarray | None:
-    """The unique equivariant map a -> b sending flag 0 to target, or None."""
-    a_rows = [p.images for p in a.h]
-    b_rows = [p.images for p in b.h]
-    psi = np.full(a.n_flags, -1, dtype=DTYPE)
-    psi[0] = target
+# Entries (flags x targets) of one psi block of _extensions; callers split
+# their targets with _target_blocks so that each block stays this small.
+_EXTENSION_BLOCK = 1 << 20
+
+
+def _target_blocks(targets: np.ndarray, n_a: int):
+    """Consecutive slices of targets, each small enough for one psi block."""
+    step = max(1, _EXTENSION_BLOCK // n_a)
+    for start in range(0, targets.shape[0], step):
+        yield targets[start:start + step]
+
+
+def _extensions(
+    a_rows: np.ndarray, b_rows: np.ndarray, targets: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The equivariant maps a -> b sending flag 0 to each target, all at once.
+
+    a_rows and b_rows are the (3, n_a) and (3, n_b) generator images. Column
+    t of psi (n_a, T) is propagated from psi[0, t] = targets[t] along a
+    breadth-first tree of a; it is an equivariant map, psi(x h_i) = psi(x)
+    g_i on every edge, exactly when ok[t]. Such a map exists for a target
+    if and only if that column is consistent, and then it is unique.
+    """
+    n_a = a_rows.shape[1]
+    tree: list[tuple[int, int, int]] = []  # (flag, parent, generator)
+    seen = np.zeros(n_a, dtype=bool)
+    seen[0] = True
     queue = [0]
-    head = 0
-    while head < len(queue):
-        x = queue[head]
-        head += 1
-        px = psi[x]
+    for x in queue:
         for i in range(3):
-            y = int(a_rows[i][x])
-            img = int(b_rows[i][px])
-            if psi[y] < 0:
-                psi[y] = img
+            y = int(a_rows[i, x])
+            if not seen[y]:
+                seen[y] = True
+                tree.append((y, x, i))
                 queue.append(y)
-            elif psi[y] != img:
-                return None
-    return psi
+    psi = np.empty((n_a, targets.shape[0]), dtype=DTYPE)
+    psi[0] = targets
+    for y, x, i in tree:
+        psi[y] = b_rows[i][psi[x]]
+    ok = np.ones(targets.shape[0], dtype=bool)
+    for i in range(3):
+        ok &= np.all(psi[a_rows[i]] == b_rows[i][psi], axis=0)
+    return psi, ok
 
 
 def find_covering(a: Hypermap, b: Hypermap) -> tuple[int, ...] | None:
     """Generator-equivariant map psi with psi(x * h_i) = psi(x) * g_i.
 
-    Candidate images for flag 0 are tried in increasing order; the first
+    Candidate images for flag 0 are scanned in increasing order; the first
     consistent extension is returned (surjective by transitivity), else None.
     """
-    for target in range(b.n_flags):
-        psi = _extend(a, b, target)
-        if psi is not None:
-            return tuple(int(v) for v in psi)
+    a_rows, b_rows = a.generator_matrix(), b.generator_matrix()
+    for targets in _target_blocks(np.arange(b.n_flags, dtype=DTYPE), a.n_flags):
+        psi, ok = _extensions(a_rows, b_rows, targets)
+        hits = np.flatnonzero(ok)
+        if hits.size:
+            return tuple(int(v) for v in psi[:, hits[0]])
     return None
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=4)
 def monodromy_group(h: Hypermap) -> FiniteGroup:
-    """The group generated by h0, h1, h2, memoized per hypermap."""
+    """The group generated by h0, h1, h2, memoized for the last few hypermaps."""
     return generate_group(h.h, h.n_flags)
 
 

@@ -27,7 +27,6 @@ __all__ = [
     "normal_closure",
     "quotient_action",
     "recognize_group",
-    "derived_subgroup",
 ]
 
 
@@ -35,6 +34,18 @@ def _freeze(row: np.ndarray) -> np.ndarray:
     out = np.ascontiguousarray(row, dtype=DTYPE)
     out.setflags(write=False)
     return out
+
+
+def _orders(rows: np.ndarray) -> np.ndarray:
+    """Order of each permutation row: the lcm of its cycle lengths."""
+    points = np.arange(rows.shape[1], dtype=DTYPE)
+    cycle = np.zeros(rows.shape, dtype=np.int64)  # cycle length of each point, once known
+    power, k = rows, 1
+    while True:
+        cycle[(cycle == 0) & (power == points)] = k
+        if cycle.all():
+            return np.lcm.reduce(cycle, axis=1)
+        power, k = np.take_along_axis(rows, power, axis=1), k + 1
 
 
 class Permutation:
@@ -115,21 +126,7 @@ class Permutation:
         return ~g * self * g
 
     def order(self) -> int:
-        n = self.degree
-        img = self._img
-        seen = np.zeros(n, dtype=bool)
-        result = 1
-        for s in range(n):
-            if seen[s]:
-                continue
-            length = 0
-            x = s
-            while not seen[x]:
-                seen[x] = True
-                x = int(img[x])
-                length += 1
-            result = result * length // int(np.gcd(result, length))
-        return result
+        return int(_orders(self._img[None, :])[0])
 
     def is_identity(self) -> bool:
         return bool(np.array_equal(self._img, np.arange(self.degree, dtype=DTYPE)))
@@ -174,22 +171,22 @@ def _as_rows(perms, degree: int | None) -> tuple[np.ndarray, int]:
 def _closure(gen_rows: np.ndarray, degree: int) -> tuple[np.ndarray, dict[bytes, int]]:
     """Breadth-first closure from the identity; generators applied in order."""
     ident = np.arange(degree, dtype=DTYPE)
-    rows: list[np.ndarray] = [ident]
+    blocks = [ident[None, :]]
     index: dict[bytes, int] = {ident.tobytes(): 0}
-    frontier = ident[None, :]
+    as_bytes = np.dtype((np.void, degree * ident.itemsize))
+    frontier = blocks[0]
+    gens = np.arange(gen_rows.shape[0])[:, None]
     while frontier.shape[0]:
-        products = [g[frontier] for g in gen_rows]
-        new: list[np.ndarray] = []
-        for r in range(frontier.shape[0]):
-            for prod in products:
-                row = prod[r]
-                key = row.tobytes()
-                if key not in index:
-                    index[key] = len(rows)
-                    rows.append(row)
-                    new.append(row)
-        frontier = np.stack(new) if new else np.empty((0, degree), dtype=DTYPE)
-    matrix = np.stack(rows)
+        # cand[r, k] = g_k[frontier[r]]: ordered by frontier row, then generator
+        cand = gen_rows[gens, frontier[:, None, :]].reshape(-1, degree)
+        new = []
+        for i, key in enumerate(cand.view(as_bytes).ravel().tolist()):
+            if key not in index:
+                index[key] = len(index)
+                new.append(i)
+        frontier = cand[new]
+        blocks.append(frontier)
+    matrix = np.concatenate(blocks)
     matrix.setflags(write=False)
     return matrix, index
 
@@ -260,7 +257,7 @@ class FiniteGroup:
     def element_orders(self) -> np.ndarray:
         """Order of every element, aligned with element indexing."""
         if self._orders is None:
-            self._orders = np.asarray([self.element(i).order() for i in range(self.order)], dtype=np.int64)
+            self._orders = _orders(self.matrix)
             self._orders.setflags(write=False)
         return self._orders
 
@@ -511,9 +508,11 @@ def recognize_group(group: FiniteGroup) -> GroupName:
     (order 4, exponent 2); Dihedral (index-2 cyclic subgroup plus an
     inverting involution, order >= 6); Alt4 (order 12, element orders
     {1,2,3}, no order-6 element); Sym4 (order 24, trivial center, orders
-    within {1,2,3,4}); Alt5 (order 60 and perfect). Anything else is
-    Unrecognized(order), never guessed. Dihedral groups of orders 2 and 4
-    therefore come out as Cyclic(2) and KleinFour.
+    within {1,2,3,4}); Alt5 (order 60 with 24 elements of order 5, that
+    is six Sylow 5-subgroups; a group of order 60 with more than one is
+    simple, hence A5). Anything else is Unrecognized(order), never
+    guessed. Dihedral groups of orders 2 and 4 therefore come out as
+    Cyclic(2) and KleinFour.
     """
     n = group.order
     if n == 1:
@@ -545,19 +544,7 @@ def recognize_group(group: FiniteGroup) -> GroupName:
         return GroupName.alt4()
     if n == 24 and order_set <= {1, 2, 3, 4} and _center_is_trivial(group):
         return GroupName.sym4()
-    if n == 60 and derived_subgroup(group).order == 60:
+    if n == 60 and int(np.count_nonzero(orders == 5)) == 24:
         return GroupName.alt5()
     return GroupName.unrecognized(n)
 
-
-def derived_subgroup(group: FiniteGroup) -> FiniteGroup:
-    """Normal closure of the commutators of all generator pairs."""
-    comms: list[Permutation] = []
-    seen: set[Permutation] = set()
-    for a in group.generators:
-        for b in group.generators:
-            c = ~a * ~b * a * b
-            if c not in seen:
-                seen.add(c)
-                comms.append(c)
-    return normal_closure(group, comms)

@@ -41,7 +41,9 @@ from .hypermap import (
     Hypermap,
     HypermapType,
     SurfaceClass,
+    _extensions,
     _parity_coloring,
+    _target_blocks,
     euler_characteristic,
     is_uniform,
     monodromy_group,
@@ -107,45 +109,26 @@ def covering_core(h: Hypermap) -> Hypermap:
     return Hypermap(group.order, *cols)
 
 
-# Entries (classes x targets) of the extension matrix that
-# _extension_conflicts builds per block of targets; bounds its memory.
-_EXTENSION_BLOCK = 1 << 20
-
-
 def _extension_conflicts(q: np.ndarray) -> np.ndarray:
     """Class pairs that every regular quotient of q must identify.
 
     q is the (3, k) action of the generators on k classes. For each target
-    class x, the equivariant map sending class 0 to x is propagated along a
-    breadth-first tree of the quotient, all targets at once; an edge whose
-    two ends disagree yields a pair. Returns the pairs of the first block of
-    targets that has any, as a (2, p) array; (2, 0) when every extension is
-    consistent, that is when the quotient is regular.
+    class x, the equivariant map sending class 0 to x is propagated over
+    the classes; an edge whose two ends disagree yields a pair. Returns the
+    pairs of the first block of targets that has any, as a (2, p) array;
+    (2, 0) when every extension is consistent, that is when the quotient is
+    regular.
     """
     k = q.shape[1]
-    tree: list[tuple[int, int, int]] = []  # (class, parent, generator)
-    seen = np.zeros(k, dtype=bool)
-    seen[0] = True
-    queue = [0]
-    for x in queue:
-        for i in range(3):
-            y = int(q[i, x])
-            if not seen[y]:
-                seen[y] = True
-                tree.append((y, x, i))
-                queue.append(y)
-    step = max(1, _EXTENSION_BLOCK // k)
-    for start in range(0, k, step):
-        # psi[c, t]: image of class c under the extension to target start + t
-        psi = np.empty((k, min(step, k - start)), dtype=DTYPE)
-        psi[0] = np.arange(start, start + psi.shape[1], dtype=DTYPE)
-        for y, x, i in tree:
-            psi[y] = q[i][psi[x]]
-        lhs = psi[q]  # psi(c h_i)
-        rhs = np.stack([q[i][psi] for i in range(3)])  # psi(c) h_i
-        bad = lhs != rhs
-        if bad.any():
-            return np.unique(np.stack([lhs[bad], rhs[bad]]), axis=1)
+    for targets in _target_blocks(np.arange(k, dtype=DTYPE), k):
+        psi, ok = _extensions(q, q, targets)
+        if not ok.all():
+            psi = psi[:, ~ok]
+            lhs = psi[q]  # psi(c h_i)
+            rhs = q[:, psi]  # psi(c) h_i
+            bad = lhs != rhs
+            pairs = np.unique(lhs[bad].astype(np.int64) * k + rhs[bad])
+            return np.stack(np.divmod(pairs, k)).astype(DTYPE)
     return np.empty((2, 0), dtype=DTYPE)
 
 

@@ -6,9 +6,10 @@ eps_i = 1. The vector (1,0,0) is bipartiteness (hypervertices 2-colorable);
 (1,1,1) is orientability. A hypermap is eps-regular when it is eps-colorable
 and the automorphism group is transitive on the color class of flag 0.
 
-Automorphisms are the generator-equivariant flag bijections; they exist
-exactly for the flags whose monodromy stabilizer equals flag 0's, which is
-how everything here is computed (no infinite groups are represented).
+Automorphisms are the generator-equivariant flag bijections. One sending
+flag 0 to a flag x exists exactly when the equivariant extension 0 -> x is
+consistent, and then it is unique; everything here is computed from those
+extensions (hypermap._extensions), so no monodromy group is enumerated.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 
 from ._kernels import DTYPE
 from .errors import NotBipartite, NotConservative
-from .hypermap import Hypermap, _extend, _parity_coloring, k_faces, monodromy_group
+from .hypermap import Hypermap, _extensions, _parity_coloring, _target_blocks, k_faces
 from .perm import FiniteGroup, Permutation, _freeze, _group_from_rows
 
 __all__ = [
@@ -111,15 +112,15 @@ def theta_coloring(h: Hypermap, eps: ParityVector) -> tuple[int, ...] | None:
 
 @functools.lru_cache(maxsize=None)
 def _stab_matched_flags(h: Hypermap) -> np.ndarray:
-    """Boolean mask over flags: monodromy stabilizer equals flag 0's.
+    """Boolean mask over flags: some automorphism sends flag 0 there.
 
-    Stabilizers of distinct flags are conjugate, hence equal-sized, so
-    containment of flag 0's stabilizer is already equality.
+    A flag x is matched exactly when the equivariant extension 0 -> x is
+    consistent (equivalently, when x's monodromy stabilizer equals flag
+    0's); all flags are tested at once, a block of targets at a time.
     """
-    group = monodromy_group(h)
-    matrix = group.matrix
-    stab_rows = matrix[matrix[:, 0] == 0]
-    mask = np.all(stab_rows == np.arange(h.n_flags, dtype=DTYPE)[None, :], axis=0)
+    rows = h.generator_matrix()
+    blocks = _target_blocks(np.arange(h.n_flags, dtype=DTYPE), h.n_flags)
+    mask = np.concatenate([_extensions(rows, rows, t)[1] for t in blocks])
     mask.setflags(write=False)
     return mask
 
@@ -127,12 +128,12 @@ def _stab_matched_flags(h: Hypermap) -> np.ndarray:
 def _automorphism_group(h: Hypermap, targets: Iterable[int]) -> FiniteGroup:
     """The automorphisms sending flag 0 to each of targets, as a group.
 
-    targets must be stabilizer-matched flags, listed with flag 0 first.
+    targets must be matched flags, listed with flag 0 first.
     """
-    rows = [_extend(h, h, int(t)) for t in targets]
-    if any(row is None for row in rows):
-        raise AssertionError("stabilizer-matched flag admitted no automorphism")
-    matrix = np.stack(rows)
+    rows = h.generator_matrix()
+    targets = np.fromiter(targets, dtype=DTYPE)
+    blocks = _target_blocks(targets, h.n_flags)
+    matrix = np.concatenate([_extensions(rows, rows, t)[0].T for t in blocks])
     gens = tuple(Permutation._wrap(_freeze(row)) for row in matrix)
     return _group_from_rows(h.n_flags, gens, matrix)
 
@@ -140,22 +141,26 @@ def _automorphism_group(h: Hypermap, targets: Iterable[int]) -> FiniteGroup:
 def automorphisms(h: Hypermap) -> FiniteGroup:
     """The full automorphism group, acting on flags.
 
-    One automorphism per flag whose monodromy stabilizer equals flag 0's;
-    the action is semi-regular, so the group order equals that flag count.
+    One automorphism per flag to which the extension from flag 0 is
+    consistent; the action is semi-regular, so the group order equals that
+    flag count.
     """
     return _automorphism_group(h, np.nonzero(_stab_matched_flags(h))[0])
 
 
 def is_regular(h: Hypermap) -> bool:
-    """|Mon| == |flags| (equivalently |Aut| == |flags|)."""
-    return monodromy_group(h).order == h.n_flags
+    """|Aut| == |flags| (equivalently |Mon| == |flags|).
+
+    True exactly when the extension from flag 0 to every flag is consistent.
+    """
+    return bool(_stab_matched_flags(h).all())
 
 
 def is_theta_regular(h: Hypermap, eps: ParityVector) -> bool:
     """eps-colorable with automorphisms transitive on flag 0's color class.
 
-    Computed as: every flag colored like flag 0 has the same monodromy
-    stabilizer as flag 0 (the other class then follows by symmetry).
+    Computed as: the extension from flag 0 to every flag colored like
+    flag 0 is consistent (the other class then follows by symmetry).
     """
     colors = theta_coloring(h, eps)
     if colors is None:
@@ -200,9 +205,9 @@ def is_bipartite_uniform(h: Hypermap) -> bool:
 def is_bipartite_chiral(h: Hypermap) -> bool:
     """No automorphism swaps the two vertex color classes.
 
-    True exactly when no flag colored opposite to flag 0 shares flag 0's
-    monodromy stabilizer. For bipartite-regular h this coincides with
-    "theta-regular but not regular".
+    True exactly when the extension from flag 0 to every flag colored
+    opposite to flag 0 is inconsistent. For bipartite-regular h this
+    coincides with "theta-regular but not regular".
     """
     colors = theta_coloring(h, BIPARTITE)
     if colors is None:

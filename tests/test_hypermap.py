@@ -18,6 +18,7 @@ from hypermaps import (
     euler_characteristic,
     find_covering,
     from_text,
+    is_regular,
     is_uniform,
     k_faces,
     relabel,
@@ -36,6 +37,7 @@ from hypermaps.build import (
     regular_from_type,
     walsh,
 )
+from hypermaps.hypermap import monodromy_group
 from hypermaps.quotients import closure_cover, covering_core, monodromy
 
 import bruteforce as bf
@@ -284,6 +286,25 @@ class TestFindCovering:
         psi = find_covering(h, h)
         assert psi[0] == 0
 
+    def test_first_consistent_target_matches_reference(self, catalog):
+        # onto a non-regular map, a relabelled source's flag 0 may have to go
+        # elsewhere than flag 0; psi is the extension to the first target the
+        # reference finds consistent, scanning targets in increasing order
+        rng = np.random.default_rng(7)
+        moved = 0
+        for _, b in catalog:
+            if is_regular(b) or monodromy(b).order > 576:
+                continue
+            tb = bf.as_triple(b)
+            for a in (b, covering_core(b)):
+                a = relabel(a, Permutation(rng.permutation(a.n_flags)))
+                ta = bf.as_triple(a)
+                hits = (bf.extend_morphism(ta, tb, t) for t in range(b.n_flags))
+                expected = next(phi for phi in hits if phi is not None)
+                assert find_covering(a, b) == expected
+                moved += expected[0] != 0
+        assert moved > 0
+
 
 class TestMonodromy:
     def test_order_matches_naive_closure(self):
@@ -294,6 +315,13 @@ class TestMonodromy:
     def test_regular_map_monodromy_acts_like_flags(self):
         h = build_platonic("T")
         assert monodromy(h).order == h.n_flags
+
+
+class TestMonodromyCache:
+    def test_cache_keeps_four_maps(self):
+        for n in range(1, 7):
+            monodromy_group(build_Pn(n))
+        assert monodromy_group.cache_info().currsize == 4
 
 
 class TestSerialization:

@@ -10,7 +10,6 @@ from hypermaps import (
     NotAMember,
     NotNormal,
     Permutation,
-    derived_subgroup,
     generate_group,
     normal_closure,
     orbits,
@@ -289,6 +288,32 @@ class TestRecognizeGroup:
         assert bf.commutator_closure(elems) == elems
         assert recognize_group(g) == GroupName.alt5()
 
+    def test_order_60_alt5_exactly_when_perfect(self):
+        # A5 is the only perfect group of order 60; the others here have
+        # one Sylow 5-subgroup, so 4 elements of order 5 instead of 24
+        shifted_d5 = [tuple(range(3)) + tuple(3 + v for v in g) for g in bf.dihedral_gens(5)]
+        groups = {
+            "A5": _alt5_group(),
+            "C60": generate_group([perm(tuple(range(60)), degree=60)]),
+            "D30": generate_group(bf.dihedral_gens(30), degree=30),
+            "A4xC5": generate_group(
+                [perm((0, 1), (2, 3), degree=9), perm((0, 1, 2), degree=9),
+                 perm((4, 5, 6, 7, 8), degree=9)]
+            ),
+            "S3xD5": generate_group(
+                [perm((0, 1), degree=8), perm((0, 1, 2), degree=8), *map(Permutation, shifted_d5)]
+            ),
+        }
+        perfect = set()
+        for name, g in groups.items():
+            assert g.order == 60, name
+            elems = bf.closure([tuple(int(v) for v in p.images) for p in g.generators])
+            assert len(elems) == 60, name
+            if bf.commutator_closure(elems) == elems:
+                perfect.add(name)
+            assert (recognize_group(g) == GroupName.alt5()) == (name in perfect), name
+        assert perfect == {"A5"}
+
     def test_flag_stabilizer_of_doubled_tetrahedron_is_alt4(self):
         g = monodromy(pin(build_platonic("T")))
         stab = point_stabilizer(g, 0)
@@ -319,31 +344,6 @@ class TestRecognizeGroup:
             assert name.group_order == g.order
             elems = bf.closure([tuple(int(v) for v in p.images) for p in g.generators])
             assert tuple(sorted(int(o) for o in g.element_orders())) == bf.element_orders(elems)
-
-
-class TestDerivedSubgroup:
-    def test_abelian_gives_trivial(self):
-        g = generate_group([perm((0, 1, 2, 3), degree=4)])
-        assert derived_subgroup(g).order == 1
-
-    def test_perfect_group_is_its_own_derived_subgroup(self):
-        # reference first: brute commutator closure on the plain-tuple model
-        g = _alt5_group()
-        elems = bf.closure([tuple(int(v) for v in p.images) for p in g.generators])
-        assert bf.commutator_closure(elems) == elems
-        assert derived_subgroup(g).order == 60
-
-    def test_dihedral_of_order_twelve(self):
-        # reference first: brute commutator enumeration gives the
-        # rotation cube subgroup of order 3
-        gens = bf.dihedral_gens(6)
-        elems = bf.closure(gens)
-        naive = bf.commutator_closure(elems)
-        assert len(naive) == 3
-        g = generate_group(gens, degree=6)
-        derived = derived_subgroup(g)
-        assert derived.order == 3
-        assert recognize_group(derived) == GroupName.cyclic(3)
 
 
 class TestFiniteGroupInvariants:

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from hypermaps import (
     BIPARTITE,
@@ -10,6 +12,7 @@ from hypermaps import (
     BipartiteType,
     NotBipartite,
     NotConservative,
+    NotTransitive,
     ParityVector,
     automorphisms,
     bipartite_type,
@@ -22,8 +25,9 @@ from hypermaps import (
     theta_preserving_automorphisms,
     validate,
 )
-from hypermaps import dual
+from hypermaps import dual, perm
 from hypermaps.build import build_Mk, build_platonic, build_Pn, pin, walsh
+from hypermaps.theta import _stab_matched_flags
 
 import bruteforce as bf
 
@@ -241,3 +245,86 @@ class TestThetaPreservingAutomorphisms:
         full = {a for a in automorphisms(w).elements}
         kept = theta_preserving_automorphisms(w, BIPARTITE)
         assert all(a in full for a in kept.elements)
+
+
+# Bipartite-regular and chiral: 4 automorphisms, all keeping flag 0's color.
+BIPARTITE_CHIRAL_8 = (
+    (7, 3, 4, 1, 2, 6, 5, 0),
+    (3, 7, 5, 0, 6, 2, 4, 1),
+    (4, 7, 5, 6, 0, 2, 3, 1),
+)
+# No automorphism but the identity.
+ASYMMETRIC_12 = (
+    (3, 8, 9, 0, 7, 11, 10, 4, 1, 2, 6, 5),
+    (8, 6, 7, 11, 5, 4, 1, 2, 0, 10, 9, 3),
+    (1, 0, 3, 2, 5, 4, 7, 6, 11, 10, 9, 8),
+)
+
+
+@st.composite
+def transitive_triples(draw):
+    """Three fixed-point-free involutions on 6 to 12 flags, acting transitively."""
+    n = draw(st.sampled_from((6, 8, 10, 12)))
+    triple = []
+    for _ in range(3):
+        points = draw(st.permutations(range(n)))
+        images = [0] * n
+        for a, b in zip(points[::2], points[1::2]):
+            images[a], images[b] = b, a
+        triple.append(tuple(images))
+    try:
+        validate(n, *triple)
+    except NotTransitive:
+        assume(False)
+    return tuple(triple)
+
+
+def assert_mask_matches_reference(h):
+    triple = bf.as_triple(h)
+    expected = [bf.extend_morphism(triple, triple, x) is not None for x in range(h.n_flags)]
+    assert _stab_matched_flags(h).tolist() == expected
+
+
+class TestExtensionMask:
+    def test_catalog_matches_reference(self, catalog):
+        for _, h in catalog:
+            assert_mask_matches_reference(h)
+
+    def test_examples_are_what_they_claim(self):
+        chiral = validate(8, *BIPARTITE_CHIRAL_8)
+        assert is_theta_regular(chiral, BIPARTITE) and is_bipartite_chiral(chiral)
+        assert automorphisms(chiral).order == bf.automorphism_count(BIPARTITE_CHIRAL_8) == 4
+        assert bf.automorphism_count(ASYMMETRIC_12) == 1
+        assert automorphisms(validate(12, *ASYMMETRIC_12)).order == 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(triple=transitive_triples())
+    @example(triple=BIPARTITE_CHIRAL_8)
+    @example(triple=ASYMMETRIC_12)
+    def test_random_triples_match_reference(self, triple):
+        assert_mask_matches_reference(validate(len(triple[0]), *triple))
+
+
+class TestGroupFree:
+    def test_automorphism_questions_enumerate_no_group(self, catalog, monkeypatch):
+        # every group enumeration goes through perm._closure
+        def refuse(*args):
+            raise AssertionError("a group was enumerated")
+
+        monkeypatch.setattr(perm, "_closure", refuse)
+        _stab_matched_flags.cache_clear()
+        names = [name for name, _ in catalog]
+        assert "wal(pin(T))" in names
+        for _, h in catalog:
+            is_regular(h)
+            for eps in PARITY_VECTORS:
+                is_theta_regular(h, eps)
+                try:
+                    theta_preserving_automorphisms(h, eps)
+                except NotConservative:
+                    assert theta_coloring(h, eps) is None
+            try:
+                is_bipartite_chiral(h)
+            except NotBipartite:
+                assert theta_coloring(h, BIPARTITE) is None
+            assert automorphisms(h).order == int(_stab_matched_flags(h).sum())
