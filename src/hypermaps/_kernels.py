@@ -1,4 +1,4 @@
-"""The two hot kernels, as array code over whole batches.
+"""The hot kernels, as array code over whole batches.
 
 Inputs are coerced to contiguous DTYPE arrays; outputs are DTYPE arrays.
 
@@ -6,8 +6,10 @@ Inputs are coerced to contiguous DTYPE arrays; outputs are DTYPE arrays.
       (as in plantri, Brinkmann & McKay 2007), the certificate behind
       canonical_form; the searches of all (triple, start) instances advance
       one head at a time. canonical_code is the one-triple form.
+  _orbit_labels -- least point of each orbit, for many generator sets at
+      once; every orbit, face and parity coloring in the package.
   spherical_triples -- the transitive, Euler-characteristic-2 involution
-      triples (brute-force oracle), by orbit-label propagation.
+      triples (brute-force oracle), from orbit labels.
 """
 
 from __future__ import annotations
@@ -104,17 +106,25 @@ def canonical_code(hs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _orbit_labels(gens: np.ndarray, lab: np.ndarray) -> np.ndarray:
     """Least point of each orbit of the generator stacks gens (..., g, n),
-    from labels lab (..., n) that are points of their orbits, each orbit's
-    least point labelled by itself: min over the images, then lab = lab[lab],
-    on positions in the flattened lab so that one take serves every row."""
+    from labels lab (..., n) with lab[x] a point of x's orbit, lab[x] <= x.
+
+    Each round takes the least label over each point's images, hooks the
+    parent lab[x] onto it (Shiloach and Vishkin 1982), scattering only where
+    it beats the parent's own new label and so the grandparent lab[lab[x]],
+    then jumps lab = lab[lab], in about log(diameter) rounds. Positions are
+    in the flattened lab, so that one take serves every row.
+    """
     at = np.arange(0, lab.size, lab.shape[-1]).reshape(lab.shape[:-1] + (1,))
     moves = [(gens[..., i, :] + at).reshape(-1) for i in range(gens.shape[-2])]
     flat = (lab + at).reshape(-1)
     while True:
-        new = flat
+        least = flat
         for move in moves:
-            new = np.minimum(new, flat[move])
-        new = new[new]
+            least = np.minimum(least, flat[move])
+        hook = least < least[flat]  # never true while least is flat itself
+        if hook.any():
+            np.minimum.at(least, flat[hook], least[hook])
+        new = least[least]
         if np.array_equal(new, flat):
             return flat.reshape(lab.shape) - at
         flat = new

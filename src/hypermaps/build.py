@@ -28,7 +28,7 @@ from .errors import (
     NotAMap,
     NotBipartite,
 )
-from .hypermap import Hypermap, _parity_coloring, dual, k_faces
+from .hypermap import Hypermap, _face_valencies, _parity_coloring, dual
 from .perm import Permutation, _freeze
 
 __all__ = [
@@ -308,10 +308,9 @@ def _restrict(full: np.ndarray, flags: np.ndarray, pos: np.ndarray) -> np.ndarra
     return pos[images]
 
 
-def _class_arrays(colors: tuple[int, ...], wanted: int) -> tuple[np.ndarray, np.ndarray]:
-    colors_arr = np.asarray(colors, dtype=DTYPE)
-    flags = np.nonzero(colors_arr == wanted)[0].astype(DTYPE)
-    pos = np.full(colors_arr.shape[0], -1, dtype=DTYPE)
+def _class_arrays(colors: np.ndarray, wanted: int) -> tuple[np.ndarray, np.ndarray]:
+    flags = np.flatnonzero(colors == wanted).astype(DTYPE)
+    pos = np.full(colors.shape[0], -1, dtype=DTYPE)
     pos[flags] = np.arange(flags.shape[0], dtype=DTYPE)
     return flags, pos
 
@@ -347,11 +346,9 @@ def unwalsh(k: Hypermap, class_of: int | None = None) -> Hypermap:
         raise InvalidRestriction(str(exc)) from exc
 
 
-def _all_valency_one(k: Hypermap, colors: tuple[int, ...], wanted: int) -> bool:
-    for face in k_faces(k, 0):
-        if colors[face[0]] == wanted and len(face) != 2:
-            return False
-    return True
+def _all_valency_one(k: Hypermap, colors: np.ndarray, wanted: int) -> bool:
+    first, vals = _face_valencies(k, 0)
+    return bool(np.all(vals[colors[first] == wanted] == 1))
 
 
 def unpin(k: Hypermap) -> Hypermap:

@@ -20,21 +20,24 @@ comparison is exact.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable
 
 from ..hypermap import (
     Hypermap,
+    _face_valencies,
+    _parity_coloring,
     are_isomorphic,
     euler_characteristic,
     is_uniform,
-    k_faces,
     surface_class,
     type_of,
+    valencies,
 )
 from ..perm import GroupName
 from ..quotients import closure_cover, core_summary, irregularity, monodromy
-from ..theta import BIPARTITE, is_regular, is_theta_regular, theta_coloring
+from ..theta import BIPARTITE, is_regular, is_theta_regular
 from .registry import build_named
 
 __all__ = [
@@ -85,28 +88,26 @@ def _dihedral(n: int) -> str:
     return str(GroupName.dihedral(n))
 
 
+def _profile(vals: Iterable[int]) -> tuple[tuple[int, int], ...]:
+    """Sorted (valency, count) pairs of some valencies."""
+    return tuple(sorted(Counter(vals).items()))
+
+
 def _face_profile(h: Hypermap, k: int) -> tuple[tuple[int, int], ...]:
     """Sorted (valency, count) pairs over the k-faces."""
-    counts: dict[int, int] = {}
-    for face in k_faces(h, k):
-        v = len(face) // 2
-        counts[v] = counts.get(v, 0) + 1
-    return tuple(sorted(counts.items()))
+    return _profile(valencies(h, k))
 
 
 def _vertex_class_profile(h: Hypermap) -> tuple[tuple[int, int], ...] | None:
     """Per-color-class (valency, count), sorted; None when classes mix valencies."""
-    colors = theta_coloring(h, BIPARTITE)
+    colors = _parity_coloring(h, BIPARTITE.eps)
     if colors is None:
         return None
-    per_class: list[dict[int, int]] = [{}, {}]
-    for face in k_faces(h, 0):
-        v = len(face) // 2
-        cls = per_class[colors[face[0]]]
-        cls[v] = cls.get(v, 0) + 1
+    first, vals = _face_valencies(h, 0)
+    per_class = [_profile(vals[colors[first] == c].tolist()) for c in (0, 1)]
     if any(len(cls) != 1 for cls in per_class):
         return None
-    return tuple(sorted(next(iter(cls.items())) for cls in per_class))
+    return tuple(sorted(cls[0] for cls in per_class))
 
 
 def _single_profile(h: Hypermap, k: int) -> tuple[int, int] | None:
@@ -163,9 +164,9 @@ def verify_table1(k_max: int = 6) -> tuple[VerificationRow, ...]:
             h = build_named(expr)
             computed = {
                 "type": type_of(h).as_tuple(),
-                "V": len(k_faces(h, 0)),
-                "E": len(k_faces(h, 1)),
-                "F": len(k_faces(h, 2)),
+                "V": len(valencies(h, 0)),
+                "E": len(valencies(h, 1)),
+                "F": len(valencies(h, 2)),
                 "flags": h.n_flags,
                 "uniform": is_uniform(h),
                 "regular": is_regular(h),

@@ -6,10 +6,11 @@ k=0, hyperedges for k=1, hyperfaces for k=2) are the orbits of the two
 generators other than h_k; a face's valency is half its orbit size. The
 base flag is index 0 everywhere a distinguished flag is needed.
 
-Values are immutable and hashable. The monodromy group is memoized for the
-four most recently used hypermaps only, since one group can hold hundreds
-of megabytes; analyze() and the table verifiers ask for it back to back on
-one map.
+Values are immutable and hashable, and label their k-faces (when checked
+for transitivity) and their walk parities (on first use) once. The monodromy
+group is memoized for the four most recently used hypermaps only, since one
+group can hold hundreds of megabytes; analyze() and the table verifiers ask
+for it back to back on one map.
 """
 
 from __future__ import annotations
@@ -21,9 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from ._kernels import DTYPE
+from ._kernels import DTYPE, _orbit_labels
 from .errors import HasFixedPoint, NotInvolution, NotTransitive, ParseError
-from .perm import FiniteGroup, Permutation, generate_group, orbits
+from .perm import FiniteGroup, Permutation, _orbit_tuples, generate_group
 
 __all__ = [
     "Hypermap",
@@ -98,7 +99,7 @@ class Hypermap:
     use validate() to turn raw data into typed violation errors.
     """
 
-    __slots__ = ("n_flags", "h", "_hash")
+    __slots__ = ("n_flags", "h", "_hash", "_faces", "_walks")
 
     def __init__(self, n_flags: int, h0, h1, h2):
         perms = tuple(p if isinstance(p, Permutation) else Permutation(p) for p in (h0, h1, h2))
@@ -110,12 +111,17 @@ class Hypermap:
             fixed = p.fixed_points()
             if fixed.size:
                 raise HasFixedPoint(i, int(fixed[0]))
-        orbs = orbits(perms, n_flags)
-        if len(orbs) != 1:
-            raise NotTransitive(len(orbs))
+        points = np.arange(n_flags, dtype=DTYPE)
+        stacks = np.stack([p.images for p in perms])[_LABEL_STACKS]
+        labels = _orbit_labels(stacks, np.broadcast_to(points, (4, n_flags)))
+        if labels[3].any():
+            raise NotTransitive(int(np.count_nonzero(labels[3] == points)))
+        labels.setflags(write=False)
         object.__setattr__(self, "n_flags", n_flags)
         object.__setattr__(self, "h", perms)
         object.__setattr__(self, "_hash", None)
+        object.__setattr__(self, "_faces", dict(enumerate(labels[:3])))
+        object.__setattr__(self, "_walks", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Hypermap is immutable")
@@ -155,48 +161,60 @@ def validate(n_flags: int, h0, h1, h2) -> Hypermap:
     return Hypermap(n_flags, h0, h1, h2)
 
 
-_PAIR_FOR_K = {0: (1, 2), 1: (0, 2), 2: (0, 1)}
+# The generator stacks labelled by the constructor: the k-faces (the other
+# two generators, one twice to fill the stack), then the whole flag set.
+_LABEL_STACKS = np.array([[1, 2, 2], [0, 2, 2], [0, 1, 1], [0, 1, 2]])
+
+
+def _face_valencies(h: Hypermap, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """(first, valency): each k-face's least flag, increasing, and half its size."""
+    labels = h._faces[k]
+    first = np.flatnonzero(labels == np.arange(h.n_flags))
+    return first, np.bincount(labels)[first] // 2
 
 
 def k_faces(h: Hypermap, k: int) -> tuple[tuple[int, ...], ...]:
     """Orbits of the two generators other than h_k, listed by smallest member."""
-    i, j = _PAIR_FOR_K[k]
-    return orbits((h.h[i], h.h[j]), h.n_flags)
+    return _orbit_tuples(h._faces[k])
 
 
 def valencies(h: Hypermap, k: int) -> tuple[int, ...]:
     """Valency (half the orbit size) of each k-face, in k_faces order."""
-    return tuple(len(face) // 2 for face in k_faces(h, k))
+    return tuple(_face_valencies(h, k)[1].tolist())
 
 
 def euler_characteristic(h: Hypermap) -> int:
     """V + E + F - n_flags/2."""
-    v = len(k_faces(h, 0))
-    e = len(k_faces(h, 1))
-    f = len(k_faces(h, 2))
-    return v + e + f - h.n_flags // 2
+    return sum(_face_valencies(h, k)[0].size for k in range(3)) - h.n_flags // 2
 
 
-def _parity_coloring(h: Hypermap, eps: tuple[int, int, int]) -> tuple[int, ...] | None:
-    """2-coloring from flag 0 where h_i flips the color iff eps[i] is 1."""
-    colors = [-1] * h.n_flags
-    colors[0] = 0
-    queue = [0]
-    head = 0
-    rows = [p.images for p in h.h]
-    while head < len(queue):
-        x = queue[head]
-        head += 1
-        cx = colors[x]
-        for i in range(3):
-            y = int(rows[i][x])
-            cy = cx ^ eps[i]
-            if colors[y] < 0:
-                colors[y] = cy
-                queue.append(y)
-            elif colors[y] != cy:
-                return None
-    return tuple(colors)
+# Parity of the number of set bits of each v < 8.
+_BIT_PARITY = np.array([0, 1, 1, 0, 1, 0, 0, 1], dtype=DTYPE)
+
+
+def _walk_parities(h: Hypermap) -> tuple[np.ndarray, np.ndarray]:
+    """(closed, walk): the parity vectors v of the closed walks at flag 0,
+    and one v of a walk from flag 0 to each flag; bit i of v is the parity
+    of the walk's number of h_i steps. Labelled once, as the orbit of (0, 0)
+    on the cover points v * n + x, where h_i sends (x, v) to (x h_i, v ^ 2**i).
+    """
+    if h._walks is None:
+        n = h.n_flags
+        v = np.arange(8, dtype=DTYPE)[:, None]
+        gens = np.stack([((v ^ (1 << i)) * n + p.images).reshape(-1) for i, p in enumerate(h.h)])
+        reach = (_orbit_labels(gens, np.arange(8 * n, dtype=DTYPE)) == 0).reshape(8, n)
+        object.__setattr__(h, "_walks", (np.flatnonzero(reach[:, 0]), reach.argmax(axis=0)))
+    return h._walks
+
+
+def _parity_coloring(h: Hypermap, eps: tuple[int, int, int]) -> np.ndarray | None:
+    """2-coloring from flag 0 where h_i flips the color iff eps[i] is 1: the
+    eps-weighted walk parity, defined iff all closed walks at 0 weigh even."""
+    closed, walk = _walk_parities(h)
+    weight = eps[0] | eps[1] << 1 | eps[2] << 2
+    if _BIT_PARITY[closed & weight].any():
+        return None
+    return _BIT_PARITY[walk & weight]
 
 
 def surface_class(h: Hypermap) -> SurfaceClass:
@@ -207,15 +225,12 @@ def surface_class(h: Hypermap) -> SurfaceClass:
 
 
 def type_of(h: Hypermap) -> HypermapType:
-    parts = []
-    for k in range(3):
-        parts.append(functools.reduce(math.lcm, valencies(h, k), 1))
-    return HypermapType(*parts)
+    return HypermapType(*(math.lcm(*_face_valencies(h, k)[1].tolist()) for k in range(3)))
 
 
 def is_uniform(h: Hypermap) -> bool:
     """True when, for each k, every k-face has the same valency."""
-    return all(len(set(valencies(h, k))) == 1 for k in range(3))
+    return all(np.unique(_face_valencies(h, k)[1]).size == 1 for k in range(3))
 
 
 _SIGMA_NAMES = {
@@ -254,7 +269,7 @@ def relabel(h: Hypermap, sigma: Permutation) -> Hypermap:
     return Hypermap(h.n_flags, *new)
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=64)
 def _canonical(h: Hypermap) -> tuple[bytes, Permutation]:
     code, sigma = _kernels.canonical_code(h.generator_matrix())
     return code.astype(DTYPE).tobytes(), Permutation(sigma)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import DTYPE
+from ._kernels import DTYPE, _orbit_labels
 from .errors import EmptyGenerators, NotAMember, NotNormal
 
 __all__ = [
@@ -290,24 +290,15 @@ def generate_group(generators, degree: int | None = None) -> FiniteGroup:
 def orbits(perms, degree: int) -> tuple[tuple[int, ...], ...]:
     """Connected components of the action, listed by smallest member."""
     rows, degree = _as_rows(perms, degree)
-    label = np.full(degree, -1, dtype=DTYPE)
-    result: list[tuple[int, ...]] = []
-    for start in range(degree):
-        if label[start] >= 0:
-            continue
-        orbit = [start]
-        label[start] = len(result)
-        head = 0
-        while head < len(orbit):
-            x = orbit[head]
-            head += 1
-            for g in rows:
-                y = int(g[x])
-                if label[y] < 0:
-                    label[y] = len(result)
-                    orbit.append(y)
-        result.append(tuple(sorted(orbit)))
-    return tuple(result)
+    return _orbit_tuples(_orbit_labels(rows, np.arange(degree, dtype=DTYPE)))
+
+
+def _orbit_tuples(labels: np.ndarray) -> tuple[tuple[int, ...], ...]:
+    """Orbits of a least-point labelling, each sorted, by smallest member."""
+    order = np.argsort(labels, kind="stable")
+    cuts = [0, *(np.flatnonzero(np.diff(labels[order])) + 1).tolist(), labels.size]
+    points = order.tolist()
+    return tuple(tuple(points[a:b]) for a, b in zip(cuts, cuts[1:]))
 
 
 def point_stabilizer(group: FiniteGroup, point: int) -> FiniteGroup:

@@ -67,7 +67,6 @@ from .theta import (
     is_bipartite_chiral,
     is_regular,
     is_theta_regular,
-    theta_coloring,
 )
 
 __all__ = [
@@ -324,7 +323,7 @@ def analyze(h: Hypermap) -> AnalysisReport:
     field is present exactly when h is bipartite-regular, and closure_cover
     is None exactly when the closure cover is degenerate.
     """
-    colorable = {v.bits: theta_coloring(h, v) is not None for v in PARITY_VECTORS}
+    colorable = {v.bits: _parity_coloring(h, v.eps) is not None for v in PARITY_VECTORS}
     regular_by_theta = {v.bits: is_theta_regular(h, v) for v in PARITY_VECTORS}
     bipartite = colorable[BIPARTITE.bits]
     bip_regular = regular_by_theta[BIPARTITE.bits]

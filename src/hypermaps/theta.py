@@ -15,14 +15,13 @@ extensions (hypermap._extensions), so no monodromy group is enumerated.
 from __future__ import annotations
 
 import functools
-from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._kernels import DTYPE
 from .errors import NotBipartite, NotConservative
-from .hypermap import Hypermap, _extensions, _parity_coloring, _target_blocks, k_faces
+from .hypermap import Hypermap, _extensions, _face_valencies, _parity_coloring, _target_blocks
 from .perm import FiniteGroup, Permutation, _freeze, _group_from_rows
 
 __all__ = [
@@ -107,10 +106,11 @@ def theta_coloring(h: Hypermap, eps: ParityVector) -> tuple[int, ...] | None:
     When defined it is unique given the base flag, and both classes have
     exactly n_flags/2 members.
     """
-    return _parity_coloring(h, eps.eps)
+    colors = _parity_coloring(h, eps.eps)
+    return None if colors is None else tuple(colors.tolist())
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=64)
 def _stab_matched_flags(h: Hypermap) -> np.ndarray:
     """Boolean mask over flags: some automorphism sends flag 0 there.
 
@@ -125,13 +125,13 @@ def _stab_matched_flags(h: Hypermap) -> np.ndarray:
     return mask
 
 
-def _automorphism_group(h: Hypermap, targets: Iterable[int]) -> FiniteGroup:
+def _automorphism_group(h: Hypermap, targets: np.ndarray) -> FiniteGroup:
     """The automorphisms sending flag 0 to each of targets, as a group.
 
     targets must be matched flags, listed with flag 0 first.
     """
     rows = h.generator_matrix()
-    targets = np.fromiter(targets, dtype=DTYPE)
+    targets = targets.astype(DTYPE)
     blocks = _target_blocks(targets, h.n_flags)
     matrix = np.concatenate([_extensions(rows, rows, t)[0].T for t in blocks])
     gens = tuple(Permutation._wrap(_freeze(row)) for row in matrix)
@@ -145,7 +145,7 @@ def automorphisms(h: Hypermap) -> FiniteGroup:
     consistent; the action is semi-regular, so the group order equals that
     flag count.
     """
-    return _automorphism_group(h, np.nonzero(_stab_matched_flags(h))[0])
+    return _automorphism_group(h, np.flatnonzero(_stab_matched_flags(h)))
 
 
 def is_regular(h: Hypermap) -> bool:
@@ -162,19 +162,10 @@ def is_theta_regular(h: Hypermap, eps: ParityVector) -> bool:
     Computed as: the extension from flag 0 to every flag colored like
     flag 0 is consistent (the other class then follows by symmetry).
     """
-    colors = theta_coloring(h, eps)
+    colors = _parity_coloring(h, eps.eps)
     if colors is None:
         return False
-    mask = _stab_matched_flags(h)
-    class0 = [x for x, c in enumerate(colors) if c == 0]
-    return bool(np.all(mask[class0]))
-
-
-def _vertex_class_valencies(h: Hypermap, colors: tuple[int, ...]) -> tuple[set[int], set[int]]:
-    by_class: tuple[set[int], set[int]] = (set(), set())
-    for face in k_faces(h, 0):
-        by_class[colors[face[0]]].add(len(face) // 2)
-    return by_class
+    return bool(np.all(_stab_matched_flags(h)[colors == 0]))
 
 
 def bipartite_type(h: Hypermap) -> BipartiteType | None:
@@ -184,18 +175,16 @@ def bipartite_type(h: Hypermap) -> BipartiteType | None:
     within each color class, and hyperedge/hyperface valencies each constant
     overall.
     """
-    colors = theta_coloring(h, BIPARTITE)
+    colors = _parity_coloring(h, BIPARTITE.eps)
     if colors is None:
         return None
-    class_valencies = _vertex_class_valencies(h, colors)
-    if any(len(vals) != 1 for vals in class_valencies):
+    first, vals = _face_valencies(h, 0)
+    vertex = [np.unique(vals[colors[first] == c]) for c in (0, 1)]
+    edge, face = (np.unique(_face_valencies(h, k)[1]) for k in (1, 2))
+    if any(v.size != 1 for v in (*vertex, edge, face)):
         return None
-    edge_vals = {len(face) // 2 for face in k_faces(h, 1)}
-    face_vals = {len(face) // 2 for face in k_faces(h, 2)}
-    if len(edge_vals) != 1 or len(face_vals) != 1:
-        return None
-    l1, l2 = sorted(next(iter(v)) for v in class_valencies)
-    return BipartiteType(l1, l2, edge_vals.pop(), face_vals.pop())
+    l1, l2 = sorted(int(v[0]) for v in vertex)
+    return BipartiteType(l1, l2, int(edge[0]), int(face[0]))
 
 
 def is_bipartite_uniform(h: Hypermap) -> bool:
@@ -209,12 +198,10 @@ def is_bipartite_chiral(h: Hypermap) -> bool:
     opposite to flag 0 is inconsistent. For bipartite-regular h this
     coincides with "theta-regular but not regular".
     """
-    colors = theta_coloring(h, BIPARTITE)
+    colors = _parity_coloring(h, BIPARTITE.eps)
     if colors is None:
         raise NotBipartite("hypermap admits no vertex 2-coloring")
-    mask = _stab_matched_flags(h)
-    class1 = [x for x, c in enumerate(colors) if c == 1]
-    return not bool(np.any(mask[class1]))
+    return not bool(np.any(_stab_matched_flags(h)[colors == 1]))
 
 
 def theta_preserving_automorphisms(h: Hypermap, eps: ParityVector) -> FiniteGroup:
@@ -223,8 +210,7 @@ def theta_preserving_automorphisms(h: Hypermap, eps: ParityVector) -> FiniteGrou
     An automorphism is determined by the image of flag 0, and preserves the
     classes exactly when that image has color 0.
     """
-    colors = theta_coloring(h, eps)
+    colors = _parity_coloring(h, eps.eps)
     if colors is None:
         raise NotConservative(f"no {eps.bits}-coloring exists")
-    targets = [int(t) for t in np.nonzero(_stab_matched_flags(h))[0] if colors[int(t)] == 0]
-    return _automorphism_group(h, targets)
+    return _automorphism_group(h, np.flatnonzero(_stab_matched_flags(h) & (colors == 0)))
