@@ -2,9 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from ..hypermap import Hypermap, from_text, to_text
 from .oracle import OracleReport, brute_oracle, fixed_point_free_involutions
 from .registry import CATALOG_NAMES, build_named, full_catalog
 from .tables import (
@@ -17,7 +14,6 @@ from .tables import (
 
 __all__ = [
     "CATALOG_NAMES",
-    "HypermapDocument",
     "OracleReport",
     "VerificationRow",
     "brute_oracle",
@@ -29,52 +25,3 @@ __all__ = [
     "verify_table3",
     "verify_theorem_mk",
 ]
-
-
-@dataclass(frozen=True)
-class HypermapDocument:
-    """Plain serializable form of a hypermap: flag count plus image rows."""
-
-    n_flags: int
-    h0: tuple[int, ...]
-    h1: tuple[int, ...]
-    h2: tuple[int, ...]
-
-    @classmethod
-    def from_hypermap(cls, h: Hypermap) -> "HypermapDocument":
-        rows = tuple(tuple(int(x) for x in p.images) for p in h.h)
-        return cls(h.n_flags, *rows)
-
-    def to_hypermap(self) -> Hypermap:
-        import numpy as np
-
-        from ..perm import Permutation
-
-        return Hypermap(
-            self.n_flags,
-            *(Permutation(np.asarray(row)) for row in (self.h0, self.h1, self.h2)),
-        )
-
-    def to_text(self) -> str:
-        return to_text(self.to_hypermap())
-
-    @classmethod
-    def from_text(cls, text: str) -> "HypermapDocument":
-        return cls.from_hypermap(from_text(text))
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n_flags": self.n_flags,
-            "h0": list(self.h0),
-            "h1": list(self.h1),
-            "h2": list(self.h2),
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "HypermapDocument":
-        return cls(
-            int(data["n_flags"]),
-            tuple(int(x) for x in data["h0"]),
-            tuple(int(x) for x in data["h1"]),
-            tuple(int(x) for x in data["h2"]),
-        )

@@ -8,6 +8,7 @@ Exit codes: 0 success (and all-match for verifiers), 1 usage error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -25,9 +26,8 @@ from ..build import (
     walsh,
 )
 from ..errors import HypermapsError
-from ..hypermap import Hypermap, dual, from_text
+from ..hypermap import Hypermap, dual, from_text, to_text
 from ..quotients import AnalysisReport, QuotientSummary, analyze
-from . import HypermapDocument
 from .oracle import brute_oracle
 from .tables import VerificationRow, verify_table2, verify_table3, verify_theorem_mk
 
@@ -88,11 +88,11 @@ def _emit(text: str, output: str | None) -> None:
 
 
 def _write_document(h: Hypermap, args) -> int:
-    doc = HypermapDocument.from_hypermap(h)
     if args.json:
-        _emit(json.dumps(doc.to_json_dict(), indent=2) + "\n", args.output)
+        doc = {"n_flags": h.n_flags, **{f"h{i}": p.images.tolist() for i, p in enumerate(h.h)}}
+        _emit(json.dumps(doc, indent=2) + "\n", args.output)
     else:
-        _emit(doc.to_text(), args.output)
+        _emit(to_text(h), args.output)
     return 0
 
 
@@ -304,6 +304,7 @@ def _cmd_oracle(args) -> int:
     return 0 if report.ok else 2
 
 
+@functools.cache  # built once per process; parsing leaves it unchanged
 def _build_parser() -> _Parser:
     parser = _Parser(prog="hypermaps", description=__doc__)
     sub = parser.add_subparsers(dest="verb", required=True)

@@ -2,8 +2,9 @@
 
 Permutations act on the right: the product ``a * b`` means "apply a, then b",
 so ``(a * b)(x) == b(a(x))``. Groups are stored by full element enumeration
-(orders in this package stay at or below 14400), ordered by breadth-first
-discovery from the identity with the generators applied in the given order.
+(the largest in the catalog, Mon of wal(pin(T)), has order 331,776), ordered
+by breadth-first discovery from the identity with the generators applied in
+the given order.
 All values are immutable after construction and every operation is a pure
 function, so concurrent use needs no coordination.
 """

@@ -232,6 +232,26 @@ def triple_vertex_coloring(triple) -> list[int] | None:
     return colors
 
 
+def triple_parity_coloring(triple, eps) -> list[int] | None:
+    """2-coloring from flag 0 where generator k flips color iff eps[k] is 1;
+    None when inconsistent."""
+    n = len(triple[0])
+    colors = [-1] * n
+    colors[0] = 0
+    work = [0]
+    while work:
+        x = work.pop()
+        for k in range(3):
+            y = triple[k][x]
+            want = colors[x] ^ eps[k]
+            if colors[y] < 0:
+                colors[y] = want
+                work.append(y)
+            elif colors[y] != want:
+                return None
+    return colors
+
+
 def extend_morphism(src, dst, image_of_zero: int) -> tuple[int, ...] | None:
     """The unique generator-equivariant map with 0 -> image_of_zero, if any.
 

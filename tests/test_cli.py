@@ -12,8 +12,8 @@ from pathlib import Path
 
 import pytest
 
-from hypermaps import are_isomorphic, build_platonic, dual, from_text
-from hypermaps.catalog.cli import main
+from hypermaps import are_isomorphic, build_platonic, build_Pn, dual, from_text
+from hypermaps.catalog.cli import _build_parser, main
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -108,9 +108,13 @@ class TestBuild:
         code, out, _ = run_cli(["build", "Pn", "3", "--json"])
         assert code == 0
         payload = json.loads(out)
+        assert list(payload) == ["n_flags", "h0", "h1", "h2"]
         assert payload["n_flags"] == 12
-        for key in ("h0", "h1", "h2"):
-            assert sorted(payload[key]) == list(range(12))
+        h = build_Pn(3)
+        for key, p in zip(("h0", "h1", "h2"), h.h):
+            assert payload[key] == [int(x) for x in p.images]
+        # two-space indent, one image per line, trailing newline
+        assert out == json.dumps(payload, indent=2) + "\n"
 
     def test_output_flag_writes_file(self, tmp_path):
         target = tmp_path / "doc.txt"
@@ -137,7 +141,16 @@ class TestBuild:
     def test_usage_errors_exit_one(self, args):
         code, _, err = run_cli(["build", *args])
         assert code == 1
-        assert err != ""
+        assert err.startswith("usage error:")
+
+    def test_parser_is_reused_across_calls(self):
+        # the parser is built once per process; a usage error in one call
+        # leaves the next call's parse unaffected
+        assert _build_parser() is _build_parser()
+        assert run_cli(["build", "Q3"])[0] == 1
+        assert run_cli(["build", "Pn", "3"]) == run_cli(["build", "Pn", "3"])
+        assert run_cli(["nope"])[2].startswith("usage error:")
+        assert from_text(build_text("Pn", "2")).n_flags == 8
 
 
 class TestTransform:

@@ -37,7 +37,9 @@ from hypermaps.build import (
     regular_from_type,
     walsh,
 )
-from hypermaps.hypermap import monodromy_group
+from hypermaps.hypermap import _canonical, monodromy_group
+from hypermaps.perm import orbits
+from hypermaps.theta import _stab_matched_flags
 from hypermaps.quotients import closure_cover, covering_core, monodromy
 
 import bruteforce as bf
@@ -110,6 +112,19 @@ class TestKFaces:
         triple = bf.as_triple(h)
         for k, picks in ((0, (1, 2)), (1, (0, 2)), (2, (0, 1))):
             assert list(k_faces(h, k)) == bf.triple_orbits(triple, picks)
+
+    def test_long_relabelled_dipole_matches_naive_orbits(self):
+        # D500's faces and flag set have diameters in the hundreds; a random
+        # relabelling scatters them, which is where label propagation
+        # without root hooking needs as many rounds as the diameter
+        h = build_Dn(500)
+        sigma = np.random.default_rng(5).permutation(h.n_flags)
+        h = relabel(h, Permutation(sigma))
+        triple = bf.as_triple(h)
+        assert list(orbits(h.h, h.n_flags)) == bf.triple_orbits(triple, (0, 1, 2))
+        for k, picks in ((0, (1, 2)), (1, (0, 2)), (2, (0, 1))):
+            assert list(k_faces(h, k)) == bf.triple_orbits(triple, picks)
+            assert list(orbits([h.h[i] for i in picks], h.n_flags)) == bf.triple_orbits(triple, picks)
 
     def test_bad_k_rejected(self):
         with pytest.raises(Exception):
@@ -322,6 +337,19 @@ class TestMonodromyCache:
         for n in range(1, 7):
             monodromy_group(build_Pn(n))
         assert monodromy_group.cache_info().currsize == 4
+
+
+class TestBoundedCaches:
+    def test_canonical_and_automorphism_mask_keep_64_maps(self):
+        base = build_Pn(3)
+        rng = np.random.default_rng(1)
+        maps = {relabel(base, Permutation(rng.permutation(base.n_flags))) for _ in range(80)}
+        assert len(maps) > 64
+        for h in maps:
+            canonical_code(h)
+            _stab_matched_flags(h)
+        assert _canonical.cache_info().currsize == 64
+        assert _stab_matched_flags.cache_info().currsize == 64
 
 
 class TestSerialization:

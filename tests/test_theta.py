@@ -262,9 +262,9 @@ ASYMMETRIC_12 = (
 
 
 @st.composite
-def transitive_triples(draw):
-    """Three fixed-point-free involutions on 6 to 12 flags, acting transitively."""
-    n = draw(st.sampled_from((6, 8, 10, 12)))
+def transitive_triples(draw, sizes=(6, 8, 10, 12)):
+    """Three fixed-point-free involutions on one of sizes flags, acting transitively."""
+    n = draw(st.sampled_from(sizes))
     triple = []
     for _ in range(3):
         points = draw(st.permutations(range(n)))
@@ -303,6 +303,51 @@ class TestExtensionMask:
     @example(triple=ASYMMETRIC_12)
     def test_random_triples_match_reference(self, triple):
         assert_mask_matches_reference(validate(len(triple[0]), *triple))
+
+
+# Bipartite, on the Klein bottle (chi 0): only (1,0,0) colors it.
+NON_ORIENTABLE_8 = (
+    (2, 3, 0, 1, 7, 6, 5, 4),
+    (6, 4, 3, 2, 1, 7, 0, 5),
+    (4, 6, 5, 7, 0, 2, 1, 3),
+)
+# Spherical, not bipartite: only (1,1,1) colors it.
+NON_BIPARTITE_8 = (
+    (5, 4, 3, 2, 1, 0, 7, 6),
+    (2, 3, 0, 1, 5, 4, 7, 6),
+    (5, 7, 4, 6, 2, 0, 3, 1),
+)
+
+
+def assert_colorings_match_reference(h):
+    triple = bf.as_triple(h)
+    for eps in PARITY_VECTORS:
+        expected = bf.triple_parity_coloring(triple, eps.eps)
+        got = theta_coloring(h, eps)
+        assert (got if got is None else list(got)) == expected
+
+
+class TestParityColorings:
+    def test_catalog_matches_reference(self, catalog):
+        for _, h in catalog:
+            assert_colorings_match_reference(h)
+
+    def test_examples_are_what_they_claim(self):
+        klein = validate(8, *NON_ORIENTABLE_8)
+        assert euler_characteristic(klein) == 0
+        assert theta_coloring(klein, ORIENTING) is None
+        assert theta_coloring(klein, BIPARTITE) is not None
+        sphere = validate(8, *NON_BIPARTITE_8)
+        assert euler_characteristic(sphere) == 2
+        assert theta_coloring(sphere, BIPARTITE) is None
+        assert theta_coloring(sphere, ORIENTING) is not None
+
+    @settings(max_examples=60, deadline=None)
+    @given(triple=transitive_triples(sizes=(6, 8, 10, 12, 14, 16)))
+    @example(triple=NON_ORIENTABLE_8)
+    @example(triple=NON_BIPARTITE_8)
+    def test_random_triples_match_reference(self, triple):
+        assert_colorings_match_reference(validate(len(triple[0]), *triple))
 
 
 class TestGroupFree:
