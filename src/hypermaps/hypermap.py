@@ -9,8 +9,7 @@ base flag is index 0 everywhere a distinguished flag is needed.
 Values are immutable and hashable, and label their k-faces (when checked
 for transitivity) and their walk parities (on first use) once. The monodromy
 group is memoized for the four most recently used hypermaps only, since one
-group can hold hundreds of megabytes; analyze() and the table verifiers ask
-for it back to back on one map.
+group can hold hundreds of megabytes.
 """
 
 from __future__ import annotations

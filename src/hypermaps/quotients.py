@@ -17,14 +17,13 @@ For a hypermap with monodromy group G acting on the flags:
   closure_cover() raises Degenerate;
 * the irregularity index is |G| / |flags| (1 exactly for regular maps),
   and for bipartite-regular hypermaps the flag stabilizer itself is a
-  group Upsilon whose isomorphism type refines the index. The stabilizer
-  is a filter over G's elements; the normal closure's order, |G| over the
-  closure-cover class count, gives upper_group_order without building it.
+  group Upsilon whose isomorphism type refines the index. |G| and
+  Upsilon are read off the closure cover and the automorphisms; G is
+  enumerated only when the automorphisms have more than two flag orbits.
 
 analyze() bundles the classification data for one hypermap into a report
-without ever materializing the automorphism group element-by-element, so
-it stays usable on inputs whose monodromy groups are much larger than the
-flag set.
+without listing the automorphism group, so it stays usable on inputs whose
+monodromy groups are much larger than the flag set.
 """
 
 from __future__ import annotations
@@ -54,15 +53,15 @@ from .perm import (
     FiniteGroup,
     GroupName,
     Permutation,
-    _freeze,
     generate_group,
-    point_stabilizer,
     recognize_group,
 )
 from .theta import (
     BIPARTITE,
     PARITY_VECTORS,
     BipartiteType,
+    _automorphism_group,
+    _stab_matched_flags,
     bipartite_type,
     is_bipartite_chiral,
     is_regular,
@@ -96,15 +95,11 @@ def covering_core(h: Hypermap) -> Hypermap:
     evaluation and the result covers h.
     """
     group = monodromy_group(h)
-    matrix = group.matrix
-    index = {row.tobytes(): i for i, row in enumerate(matrix)}
-    cols = []
-    for p in h.h:
-        imgs = p.images[matrix]
-        col = np.fromiter(
-            (index[row.tobytes()] for row in imgs), dtype=DTYPE, count=group.order
-        )
-        cols.append(Permutation._wrap(_freeze(col)))
+    index = group._index
+    cols = [
+        np.fromiter((index[row.tobytes()] for row in p.images[group.matrix]), DTYPE, group.order)
+        for p in h.h
+    ]
     return Hypermap(group.order, *cols)
 
 
@@ -206,14 +201,28 @@ def closure_cover(h: Hypermap) -> Hypermap:
     return Hypermap(count, *images)
 
 
+def _monodromy_order(h: Hypermap) -> int:
+    """|Mon|: n |C0|, for flag 0's closure class C0, when 2|Aut| >= n.
+
+    Aut then has at most two orbits, each a block of Mon. S = Stab(0) is
+    the kernel of Mon's action on the orbit O of flag 0, and that action is
+    regular. So the normal closure of S is S S^t (t swapping the blocks),
+    and C0 = 0 S^t, which gives |C0| = |S|. The deck group (automorphisms
+    sending 0 into C0) is the centralizer of S^t acting regularly on C0,
+    so it is isomorphic to S. Otherwise Mon is enumerated.
+    """
+    if 2 * int(_stab_matched_flags(h).sum()) >= h.n_flags:
+        return h.n_flags * int(np.count_nonzero(_stab_and_closure(h) == 0))
+    return monodromy_group(h).order
+
+
 @dataclass(frozen=True)
 class IrregularityReport:
     """Irregularity data of a bipartite-regular hypermap.
 
     index is |monodromy| / |flags|; group names the flag stabilizer Upsilon
-    (order lower_group_order, equal to index); upper_group_order is
-    |normal closure of Upsilon| / index, which equals index again exactly
-    when the closure has order index squared.
+    (order lower_group_order); upper_group_order is |normal closure of
+    Upsilon| / index. All three orders are equal (see _monodromy_order).
     """
 
     index: int
@@ -223,22 +232,11 @@ class IrregularityReport:
 
 
 def irregularity(h: Hypermap) -> IrregularityReport:
-    """Index and stabilizer type; NotBipartiteRegular when not applicable."""
+    """Index and Upsilon, read off the deck group over the closure cover."""
     if not is_theta_regular(h, BIPARTITE):
         raise NotBipartiteRegular("irregularity is defined for bipartite-regular hypermaps")
-    group = monodromy_group(h)
-    index, rem = divmod(group.order, h.n_flags)
-    if rem:
-        raise AssertionError("monodromy order not divisible by flag count")
-    stab = point_stabilizer(group, 0)
-    # |closure| = |Mon| / classes and upper = |closure| / index
-    classes = int(_stab_and_closure(h).max()) + 1
-    return IrregularityReport(
-        index=index,
-        group=recognize_group(stab),
-        lower_group_order=stab.order,
-        upper_group_order=h.n_flags // classes,
-    )
+    deck = _automorphism_group(h, np.flatnonzero(_stab_and_closure(h) == 0))
+    return IrregularityReport(deck.order, recognize_group(deck), deck.order, deck.order)
 
 
 def delta0_monodromy(h: Hypermap) -> FiniteGroup:
@@ -275,7 +273,7 @@ def core_summary(h: Hypermap) -> QuotientSummary:
     when h is; otherwise exactly when the even words <h0 h1, h1 h2> have
     index 2 in Mon.
     """
-    order = monodromy_group(h).order
+    order = _monodromy_order(h)
     t = type_of(h)
     chi = order // (2 * t.l) + order // (2 * t.m) + order // (2 * t.n) - order // 2
     orientable = _parity_coloring(h, (1, 1, 1)) is not None
@@ -327,6 +325,7 @@ def analyze(h: Hypermap) -> AnalysisReport:
     regular_by_theta = {v.bits: is_theta_regular(h, v) for v in PARITY_VECTORS}
     bipartite = colorable[BIPARTITE.bits]
     bip_regular = regular_by_theta[BIPARTITE.bits]
+    core = core_summary(h)
     return AnalysisReport(
         flags=h.n_flags,
         type=type_of(h),
@@ -339,8 +338,8 @@ def analyze(h: Hypermap) -> AnalysisReport:
         regular=is_regular(h),
         bipartite_regular=bip_regular,
         bipartite_chiral=is_bipartite_chiral(h) if bipartite else None,
-        monodromy_order=monodromy_group(h).order,
+        monodromy_order=core.flags,
         irregularity=irregularity(h) if bip_regular else None,
         closure_cover=_closure_summary(h),
-        covering_core=core_summary(h),
+        covering_core=core,
     )

@@ -39,8 +39,11 @@ def conjugate(a: tuple[int, ...], g: tuple[int, ...]) -> tuple[int, ...]:
     return compose(compose(inverse(g), a), g)
 
 
-def closure(gens) -> frozenset[tuple[int, ...]]:
-    """Subgroup generated by gens, by worklist multiplication."""
+def closure(gens, limit: int | None = None) -> frozenset[tuple[int, ...]] | None:
+    """Subgroup generated by gens, by worklist multiplication.
+
+    None once more than limit elements are found, when a limit is given.
+    """
     gens = [tuple(g) for g in gens]
     n = len(gens[0])
     seen = {identity(n)}
@@ -52,6 +55,8 @@ def closure(gens) -> frozenset[tuple[int, ...]]:
             if q not in seen:
                 seen.add(q)
                 work.append(q)
+                if limit is not None and len(seen) > limit:
+                    return None
     return frozenset(seen)
 
 

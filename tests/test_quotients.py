@@ -11,6 +11,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hypermaps import (
+    BIPARTITE,
     Degenerate,
     GroupName,
     Hypermap,
@@ -18,20 +19,26 @@ from hypermaps import (
     NotBipartiteRegular,
     NotTransitive,
     are_isomorphic,
+    automorphisms,
     dual,
     euler_characteristic,
     find_covering,
     from_text,
     is_regular,
+    is_theta_regular,
     normal_closure,
+    perm,
     point_stabilizer,
     quotient_action,
+    recognize_group,
     surface_class,
     type_of,
     validate,
 )
 from hypermaps.build import build_Dn, build_Mk, build_platonic, build_Pn, pin, walsh
+from hypermaps.catalog import build_named, verify_table3, verify_theorem_mk
 from hypermaps.catalog.oracle import fixed_point_free_involutions
+from hypermaps.hypermap import monodromy_group
 from hypermaps.quotients import (
     QuotientSummary,
     analyze,
@@ -64,6 +71,16 @@ NON_ORIENTABLE_CORE_8 = (
     (4, 5, 7, 6, 0, 1, 3, 2),
 )
 INVOLUTIONS = {n: [tuple(row.tolist()) for row in fixed_point_free_involutions(n)] for n in (6, 8)}
+INVOLUTION_ROWS = {n: fixed_point_free_involutions(n) for n in range(4, 13, 2)}
+# Both sides of 2|Aut| >= n, where |Mon| and Upsilon are read without Mon:
+# bipartite-regular but not regular; (0,1,0)-regular only; regular; and
+# |Aut| = 2 on 6 flags.
+TWO_ORBIT_SIDES = (
+    build_named("pin(D2)"),
+    build_named("dual01(pin(T))"),
+    build_named("C"),
+    from_text(DEGENERATE_6),
+)
 
 
 def assert_matches_group_reference(h):
@@ -78,6 +95,37 @@ def assert_matches_group_reference(h):
         assert are_isomorphic(closure_cover(h), Hypermap(count, *perms))
     core = covering_core(h)
     assert core_summary(h) == QuotientSummary(core.n_flags, type_of(core), surface_class(core).genus)
+
+
+def refuse_enumeration(monkeypatch):
+    """Make every group enumeration fail; all of them go through perm._closure."""
+
+    def refuse(*args):
+        raise AssertionError("a group was enumerated")
+
+    monkeypatch.setattr(perm, "_closure", refuse)
+    monodromy_group.cache_clear()
+
+
+def irregularity_or_none(h):
+    try:
+        return irregularity(h)
+    except NotBipartiteRegular:
+        return None
+
+
+@st.composite
+def doubled_triples(draw):
+    """A random transitive triple of 4 to 12 flags, or its walsh or pin double."""
+    n = draw(st.sampled_from(sorted(INVOLUTION_ROWS)))
+    rows = INVOLUTION_ROWS[n]
+    triple = [rows[draw(st.integers(0, len(rows) - 1))] for _ in range(3)]
+    try:
+        h = validate(n, *triple)
+    except NotTransitive:
+        assume(False)
+    double = draw(st.sampled_from((None, walsh, pin)))
+    return h if double is None else double(h)
 
 
 @st.composite
@@ -203,6 +251,57 @@ class TestAgainstGroupReference:
     @example(triple=NON_ORIENTABLE_CORE_8)
     def test_random_triples(self, triple):
         assert_matches_group_reference(validate(len(triple[0]), *triple))
+
+
+class TestDerivedMonodromy:
+    def test_examples_cover_both_sides(self):
+        sides = [2 * automorphisms(h).order >= h.n_flags for h in TWO_ORBIT_SIDES]
+        assert sides == [True, True, True, False]
+        kinds = [(is_regular(h), is_theta_regular(h, BIPARTITE)) for h in TWO_ORBIT_SIDES[:3]]
+        assert kinds == [(False, True), (False, False), (True, True)]
+
+    @settings(max_examples=80, deadline=None)
+    @given(h=doubled_triples())
+    @example(h=TWO_ORBIT_SIDES[0])
+    @example(h=TWO_ORBIT_SIDES[1])
+    @example(h=TWO_ORBIT_SIDES[2])
+    @example(h=TWO_ORBIT_SIDES[3])
+    def test_matches_enumeration(self, h):
+        elements = bf.closure(bf.as_triple(h), limit=5000)
+        assume(elements is not None)
+        assert core_summary(h).flags == analyze(h).monodromy_order == len(elements)
+        if is_theta_regular(h, BIPARTITE):
+            stab = point_stabilizer(monodromy(h), 0)
+            report = irregularity(h)
+            assert (report.index, report.group) == (stab.order, recognize_group(stab))
+
+
+class TestGroupFree:
+    """The table reproductions and every analysis of a hypermap whose
+    automorphisms have at most two flag orbits enumerate no group."""
+
+    def test_table_reproductions(self, monkeypatch):
+        with monkeypatch.context() as m:
+            refuse_enumeration(m)
+            rows = verify_table3(5) + verify_theorem_mk(8)
+        assert len(rows) == 51 + 8 and all(row.matches for row in rows)
+
+    def test_two_orbit_analyses(self, catalog, monkeypatch):
+        inputs = [h for _, h in catalog]
+        inputs += [double(h) for h in inputs if h.n_flags <= 60 for double in (walsh, pin)]
+        inputs = [h for h in inputs if 2 * automorphisms(h).order >= h.n_flags]
+        with monkeypatch.context() as m:
+            refuse_enumeration(m)
+            answers = [(analyze(h), core_summary(h), irregularity_or_none(h)) for h in inputs]
+        assert len(inputs) == 160
+        for h, (report, core, irr) in zip(inputs, answers):
+            assert report.covering_core == core and report.monodromy_order == core.flags
+            assert report.irregularity == irr
+            mon = monodromy(h)
+            assert core.flags == mon.order
+            if irr is not None:
+                stab = point_stabilizer(mon, 0)
+                assert (irr.index, irr.group) == (stab.order, recognize_group(stab))
 
 
 class TestIrregularity:
