@@ -28,7 +28,7 @@ from .errors import (
     NotAMap,
     NotBipartite,
 )
-from .hypermap import Hypermap, _face_valencies, _parity_coloring, dual
+from .hypermap import _SIGMA_IMAGES, Hypermap, _face_valencies, _parity_coloring, dual
 from .perm import Permutation, _freeze
 
 __all__ = [
@@ -192,27 +192,18 @@ def todd_coxeter(presentation: Presentation, coset_limit: int = 1_000_000) -> Co
     return CosetTable(table)
 
 
-def regular_from_type(
-    l: int,
-    m: int,
-    n: int,
-    extra_relators: tuple[tuple[int, ...], ...] | None = None,
-    coset_limit: int = 1_000_000,
-) -> Hypermap:
+def regular_from_type(l: int, m: int, n: int) -> Hypermap:
     """The regular hypermap with relators (h1 h2)^l, (h2 h0)^m, (h0 h1)^n.
 
-    With no extra relators this is the full triangle-group-style quotient of
-    type (l; m; n). Raises Degenerate when a generator image in the quotient
-    is the identity or has a fixed point (no hypermap on that group). Note
-    the resulting type can be smaller than (l; m; n) when the presentation
-    collapses; callers wanting exactness should check type_of.
+    This is the full triangle-group-style quotient of type (l; m; n). Raises
+    Degenerate when a generator image in the quotient is the identity or has
+    a fixed point (no hypermap on that group). Note the resulting type can
+    be smaller than (l; m; n) when the presentation collapses; callers
+    wanting exactness should check type_of.
     """
     if min(l, m, n) < 1:
         raise ValueError("type components must be positive")
-    relators = [(1, 2) * l, (2, 0) * m, (0, 1) * n]
-    if extra_relators:
-        relators.extend(tuple(word) for word in extra_relators)
-    table = todd_coxeter(Presentation(tuple(relators)), coset_limit)
+    table = todd_coxeter(Presentation(((1, 2) * l, (2, 0) * m, (0, 1) * n)))
     perms = table.permutations()
     for i, p in enumerate(perms):
         if p.fixed_points().size:
@@ -383,5 +374,4 @@ def unpin(k: Hypermap) -> Hypermap:
 
 def six_duals(h: Hypermap) -> tuple[Hypermap, ...]:
     """All relabelings of the generator roles, identity first."""
-    sigmas = [(0, 1, 2), (1, 0, 2), (2, 1, 0), (0, 2, 1), (1, 2, 0), (2, 0, 1)]
-    return tuple(dual(h, s) for s in sigmas)
+    return tuple(dual(h, s) for s in _SIGMA_IMAGES.values())

@@ -14,10 +14,6 @@ import sys
 
 from ..build import (
     Presentation,
-    build_Dn,
-    build_Mk,
-    build_platonic,
-    build_Pn,
     pin,
     regular_from_type,
     todd_coxeter,
@@ -26,9 +22,10 @@ from ..build import (
     walsh,
 )
 from ..errors import HypermapsError
-from ..hypermap import Hypermap, dual, from_text, to_text
+from ..hypermap import _SIGMA_IMAGES, Hypermap, dual, from_text, to_text
 from ..quotients import AnalysisReport, QuotientSummary, analyze
 from .oracle import brute_oracle
+from .registry import build_named
 from .tables import VerificationRow, verify_table2, verify_table3, verify_theorem_mk
 
 __all__ = ["main"]
@@ -42,15 +39,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(message)
 
-
-_SIGMA_IMAGES = {
-    "id": (0, 1, 2),
-    "01": (1, 0, 2),
-    "02": (2, 1, 0),
-    "12": (0, 2, 1),
-    "012": (1, 2, 0),
-    "021": (2, 0, 1),
-}
 
 _LETTER = {"a": 0, "b": 1, "c": 2}
 
@@ -111,9 +99,9 @@ def _cmd_build(args) -> int:
         if args.params is None:
             raise _UsageError(f"{family} needs a parameter")
         n = _parse_param(args.params, "n" if family != "Mk" else "k")
-        h = {"Dn": build_Dn, "Pn": build_Pn, "Mk": build_Mk}[family](n)
+        h = build_named(f"{family[0]}{n}")
     elif family in ("T", "C", "O", "D", "I"):
-        h = build_platonic(family)
+        h = build_named(family)
     elif family == "from-type":
         if args.params is None:
             raise _UsageError("from-type needs l,m,n")

@@ -6,8 +6,10 @@ canonical form, and checks each isomorphism class against three claims:
 
 * spherical + uniform implies regular,
 * spherical + bipartite-uniform implies bipartite-regular,
-* every spherical bipartite class is a wal or pin output over the catalog
-  (closed under the six dualities).
+* spherical + bipartite-uniform implies a wal or pin output of a
+  spherical class with half as many flags. Those sources are the search's
+  own classes, every spherical hypermap of that size, so they are already
+  closed under the six dualities.
 
 The per-class classification here is deliberately written out locally (plain
 breadth-first searches on small arrays) instead of calling the library's own
@@ -26,8 +28,8 @@ import numpy as np
 
 from .. import _kernels
 from .._kernels import DTYPE
-from ..hypermap import canonical_code
-from .registry import full_catalog
+from ..build import pin, walsh
+from ..hypermap import Hypermap, canonical_code
 
 __all__ = ["OracleReport", "brute_oracle", "fixed_point_free_involutions"]
 
@@ -174,25 +176,6 @@ class OracleReport:
         }
 
 
-def _double_codes(max_flags: int) -> set[bytes]:
-    """Canonical codes of wal/pin over the catalog closed under duality."""
-    from ..build import pin, six_duals, walsh
-
-    codes: set[bytes] = set()
-    seen_sources: set[bytes] = set()
-    for _, h in full_catalog():
-        if 2 * h.n_flags > max_flags:
-            continue
-        for d in six_duals(h):
-            key = canonical_code(d)
-            if key in seen_sources:
-                continue
-            seen_sources.add(key)
-            codes.add(canonical_code(walsh(d)))
-            codes.add(canonical_code(pin(d)))
-    return codes
-
-
 def _classes_from_triples(invs: np.ndarray, triples: np.ndarray) -> dict[bytes, np.ndarray]:
     """Dedupe candidate triples by canonical code; values are (3, n) arrays."""
     firsts: dict[bytes, np.ndarray] = {}
@@ -218,7 +201,7 @@ def brute_oracle(max_flags: int = 8) -> OracleReport:
     if max_flags not in (4, 8):
         raise ValueError("max_flags must be 4 or 8")
     sizes = tuple(range(2, max_flags + 1, 2))
-    double_codes = _double_codes(max_flags)
+    classes_at: dict[int, dict[bytes, np.ndarray]] = {}
     triples_scanned: dict[int, int] = {}
     spherical: dict[int, int] = {}
     class_counts: dict[int, int] = {}
@@ -233,8 +216,10 @@ def brute_oracle(max_flags: int = 8) -> OracleReport:
         triples_scanned[n] = invs.shape[0] ** 3
         triples = _kernels.spherical_triples(invs)
         spherical[n] = triples.shape[0]
-        classes = _classes_from_triples(invs, triples)
+        classes = classes_at[n] = _classes_from_triples(invs, triples)
         class_counts[n] = len(classes)
+        sources = [Hypermap(n // 2, *hs) for hs in classes_at.get(n // 2, {}).values()]
+        double_codes = {canonical_code(double(h)) for h in sources for double in (walsh, pin)}
         recounts[n] = _recount_fixed_h0(invs, n)
 
         for key, hs in classes.items():
@@ -250,8 +235,6 @@ def brute_oracle(max_flags: int = 8) -> OracleReport:
             if colors is None:
                 continue
             bipartite_classes += 1
-            if key not in double_codes:
-                violations.append(f"bipartite but not a wal/pin output: {label}")
             class0 = [x for x in range(n) if colors[x] == 0]
             vertex_orbits = _local_orbits([hs[1], hs[2]], n)
             per_class: list[set[int]] = [set(), set()]
@@ -267,6 +250,8 @@ def brute_oracle(max_flags: int = 8) -> OracleReport:
                 b_regular = all(_local_has_automorphism(hs, t) for t in class0)
                 if not b_regular:
                     violations.append(f"bipartite-uniform but not bipartite-regular: {label}")
+                if key not in double_codes:
+                    violations.append(f"bipartite-uniform but not a wal/pin output: {label}")
 
     return OracleReport(
         max_flags=max_flags,

@@ -19,14 +19,14 @@ import re
 
 from ..build import build_Dn, build_Mk, build_platonic, build_Pn, pin, walsh
 from ..errors import ParseError
-from ..hypermap import Hypermap, dual
+from ..hypermap import _SIGMA_IMAGES, Hypermap, dual
 
 __all__ = ["CATALOG_NAMES", "build_named", "full_catalog"]
 
 _WRAPPERS = {
-    "dual01": lambda h: dual(h, (1, 0, 2)),
-    "dual02": lambda h: dual(h, (2, 1, 0)),
-    "dual12": lambda h: dual(h, (0, 2, 1)),
+    "dual01": lambda h: dual(h, _SIGMA_IMAGES["01"]),
+    "dual02": lambda h: dual(h, _SIGMA_IMAGES["02"]),
+    "dual12": lambda h: dual(h, _SIGMA_IMAGES["12"]),
     "wal": walsh,
     "pin": pin,
 }

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -232,13 +233,14 @@ def is_uniform(h: Hypermap) -> bool:
     return all(np.unique(_face_valencies(h, k)[1]).size == 1 for k in range(3))
 
 
-_SIGMA_NAMES = {
-    (0, 1, 2): "id",
-    (1, 0, 2): "01",
-    (2, 1, 0): "02",
-    (0, 2, 1): "12",
-    (1, 2, 0): "012",
-    (2, 0, 1): "021",
+# The six dualities by name, as sigma's images; the identity first.
+_SIGMA_IMAGES = {
+    "id": (0, 1, 2),
+    "01": (1, 0, 2),
+    "02": (2, 1, 0),
+    "12": (0, 2, 1),
+    "012": (1, 2, 0),
+    "021": (2, 0, 1),
 }
 
 
@@ -293,28 +295,23 @@ def are_isomorphic(a: Hypermap, b: Hypermap) -> bool:
     return canonical_code(a) == canonical_code(b)
 
 
-# Entries (flags x targets) of one psi block of _extensions; callers split
-# their targets with _target_blocks so that each block stays this small.
+# Entries (flags x targets) of one psi block yielded by _extensions.
 _EXTENSION_BLOCK = 1 << 20
-
-
-def _target_blocks(targets: np.ndarray, n_a: int):
-    """Consecutive slices of targets, each small enough for one psi block."""
-    step = max(1, _EXTENSION_BLOCK // n_a)
-    for start in range(0, targets.shape[0], step):
-        yield targets[start:start + step]
 
 
 def _extensions(
     a_rows: np.ndarray, b_rows: np.ndarray, targets: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """The equivariant maps a -> b sending flag 0 to each target, all at once.
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The equivariant maps a -> b sending flag 0 to each target.
 
-    a_rows and b_rows are the (3, n_a) and (3, n_b) generator images. Column
-    t of psi (n_a, T) is propagated from psi[0, t] = targets[t] along a
-    breadth-first tree of a; it is an equivariant map, psi(x h_i) = psi(x)
-    g_i on every edge, exactly when ok[t]. Such a map exists for a target
-    if and only if that column is consistent, and then it is unique.
+    a_rows and b_rows are the (3, n_a) and (3, n_b) generator images. One
+    breadth-first tree of a is built per call. Yields (psi, ok) for
+    consecutive blocks of targets, in order, with at most _EXTENSION_BLOCK
+    entries in each psi (n_a, T): column t is propagated along the tree
+    from psi[0, t], the block's t-th target. It is an equivariant map,
+    psi(x h_i) = psi(x) g_i on every edge, exactly when ok[t]. Such a map
+    exists for a target if and only if that column is consistent, and then
+    it is unique.
     """
     n_a = a_rows.shape[1]
     tree: list[tuple[int, int, int]] = []  # (flag, parent, generator)
@@ -328,14 +325,17 @@ def _extensions(
                 seen[y] = True
                 tree.append((y, x, i))
                 queue.append(y)
-    psi = np.empty((n_a, targets.shape[0]), dtype=DTYPE)
-    psi[0] = targets
-    for y, x, i in tree:
-        psi[y] = b_rows[i][psi[x]]
-    ok = np.ones(targets.shape[0], dtype=bool)
-    for i in range(3):
-        ok &= np.all(psi[a_rows[i]] == b_rows[i][psi], axis=0)
-    return psi, ok
+    step = max(1, _EXTENSION_BLOCK // n_a)
+    for start in range(0, targets.shape[0], step):
+        block = targets[start:start + step]
+        psi = np.empty((n_a, block.shape[0]), dtype=DTYPE)
+        psi[0] = block
+        for y, x, i in tree:
+            psi[y] = b_rows[i][psi[x]]
+        ok = np.ones(block.shape[0], dtype=bool)
+        for i in range(3):
+            ok &= np.all(psi[a_rows[i]] == b_rows[i][psi], axis=0)
+        yield psi, ok
 
 
 def find_covering(a: Hypermap, b: Hypermap) -> tuple[int, ...] | None:
@@ -345,8 +345,7 @@ def find_covering(a: Hypermap, b: Hypermap) -> tuple[int, ...] | None:
     consistent extension is returned (surjective by transitivity), else None.
     """
     a_rows, b_rows = a.generator_matrix(), b.generator_matrix()
-    for targets in _target_blocks(np.arange(b.n_flags, dtype=DTYPE), a.n_flags):
-        psi, ok = _extensions(a_rows, b_rows, targets)
+    for psi, ok in _extensions(a_rows, b_rows, np.arange(b.n_flags, dtype=DTYPE)):
         hits = np.flatnonzero(ok)
         if hits.size:
             return tuple(int(v) for v in psi[:, hits[0]])

@@ -42,7 +42,6 @@ from .hypermap import (
     SurfaceClass,
     _extensions,
     _parity_coloring,
-    _target_blocks,
     euler_characteristic,
     is_uniform,
     monodromy_group,
@@ -109,13 +108,12 @@ def _extension_conflicts(q: np.ndarray) -> np.ndarray:
     q is the (3, k) action of the generators on k classes. For each target
     class x, the equivariant map sending class 0 to x is propagated over
     the classes; an edge whose two ends disagree yields a pair. Returns the
-    pairs of the first block of targets that has any, as a (2, p) array;
-    (2, 0) when every extension is consistent, that is when the quotient is
-    regular.
+    pairs of the first block of targets yielded by _extensions that has
+    any, as a (2, p) array; (2, 0) when every extension is consistent, that
+    is when the quotient is regular.
     """
     k = q.shape[1]
-    for targets in _target_blocks(np.arange(k, dtype=DTYPE), k):
-        psi, ok = _extensions(q, q, targets)
+    for psi, ok in _extensions(q, q, np.arange(k, dtype=DTYPE)):
         if not ok.all():
             psi = psi[:, ~ok]
             lhs = psi[q]  # psi(c h_i)

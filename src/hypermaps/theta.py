@@ -21,7 +21,7 @@ import numpy as np
 
 from ._kernels import DTYPE
 from .errors import NotBipartite, NotConservative
-from .hypermap import Hypermap, _extensions, _face_valencies, _parity_coloring, _target_blocks
+from .hypermap import Hypermap, _extensions, _face_valencies, _parity_coloring
 from .perm import FiniteGroup, Permutation, _freeze, _group_from_rows
 
 __all__ = [
@@ -116,11 +116,11 @@ def _stab_matched_flags(h: Hypermap) -> np.ndarray:
 
     A flag x is matched exactly when the equivariant extension 0 -> x is
     consistent (equivalently, when x's monodromy stabilizer equals flag
-    0's); all flags are tested at once, a block of targets at a time.
+    0's); all flags are tested together, over one spanning tree.
     """
     rows = h.generator_matrix()
-    blocks = _target_blocks(np.arange(h.n_flags, dtype=DTYPE), h.n_flags)
-    mask = np.concatenate([_extensions(rows, rows, t)[1] for t in blocks])
+    targets = np.arange(h.n_flags, dtype=DTYPE)
+    mask = np.concatenate([ok for _, ok in _extensions(rows, rows, targets)])
     mask.setflags(write=False)
     return mask
 
@@ -131,9 +131,7 @@ def _automorphism_group(h: Hypermap, targets: np.ndarray) -> FiniteGroup:
     targets must be matched flags, listed with flag 0 first.
     """
     rows = h.generator_matrix()
-    targets = targets.astype(DTYPE)
-    blocks = _target_blocks(targets, h.n_flags)
-    matrix = np.concatenate([_extensions(rows, rows, t)[0].T for t in blocks])
+    matrix = np.concatenate([psi.T for psi, _ in _extensions(rows, rows, targets.astype(DTYPE))])
     gens = tuple(Permutation._wrap(_freeze(row)) for row in matrix)
     return _group_from_rows(h.n_flags, gens, matrix)
 

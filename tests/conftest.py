@@ -1,9 +1,11 @@
-"""Shared fixtures: the built catalog and oracle results."""
+"""Shared fixtures: the built catalog, oracle results, a small extension block."""
 
 import pytest
 
-from hypermaps import _kernels
+from hypermaps import _kernels, hypermap
 from hypermaps.catalog import brute_oracle, full_catalog
+from hypermaps.quotients import _stab_and_closure
+from hypermaps.theta import _stab_matched_flags
 
 
 @pytest.fixture(scope="session")
@@ -40,3 +42,20 @@ def classes8():
     classes = _classes_from_triples(invs, triples[triples[:, 0] == 0])
     assert len(classes) == 20
     return classes
+
+
+@pytest.fixture
+def extension_block(monkeypatch):
+    """Setter of hypermap._EXTENSION_BLOCK for the rest of the test, so that
+    maps with more than block // n_flags targets take several blocks. The
+    per-map caches filled from extensions are cleared when it is set and
+    when the test ends."""
+
+    def set_block(block):
+        monkeypatch.setattr(hypermap, "_EXTENSION_BLOCK", block)
+        _stab_matched_flags.cache_clear()
+        _stab_and_closure.cache_clear()
+
+    yield set_block
+    _stab_matched_flags.cache_clear()
+    _stab_and_closure.cache_clear()

@@ -301,12 +301,12 @@ class TestFindCovering:
         psi = find_covering(h, h)
         assert psi[0] == 0
 
-    def test_first_consistent_target_matches_reference(self, catalog):
+    def test_first_consistent_target_matches_reference(self, catalog, extension_block):
         # onto a non-regular map, a relabelled source's flag 0 may have to go
         # elsewhere than flag 0; psi is the extension to the first target the
         # reference finds consistent, scanning targets in increasing order
         rng = np.random.default_rng(7)
-        moved = 0
+        cases = []
         for _, b in catalog:
             if is_regular(b) or monodromy(b).order > 576:
                 continue
@@ -315,10 +315,16 @@ class TestFindCovering:
                 a = relabel(a, Permutation(rng.permutation(a.n_flags)))
                 ta = bf.as_triple(a)
                 hits = (bf.extend_morphism(ta, tb, t) for t in range(b.n_flags))
-                expected = next(phi for phi in hits if phi is not None)
-                assert find_covering(a, b) == expected
-                moved += expected[0] != 0
-        assert moved > 0
+                cases.append((a, b, next(phi for phi in hits if phi is not None)))
+        for a, b, expected in cases:
+            assert find_covering(a, b) == expected
+        assert any(expected[0] != 0 for _, _, expected in cases)
+        # blocks of 48 // a.n_flags targets (at least one): some first hit
+        # lies past the first block
+        extension_block(48)
+        for a, b, expected in cases:
+            assert find_covering(a, b) == expected
+        assert any(expected[0] >= max(1, 48 // a.n_flags) for a, _, expected in cases)
 
 
 class TestMonodromy:

@@ -225,13 +225,15 @@ class TestClosureCover:
 
 
 class TestAgainstGroupReference:
-    def test_catalog(self, catalog):
-        checked = 0
-        for _, h in catalog:
-            if monodromy(h).order <= 2500:
-                assert_matches_group_reference(h)
-                checked += 1
-        assert checked >= 60
+    def test_catalog(self, catalog, extension_block):
+        small = [h for _, h in catalog if monodromy(h).order <= 2500]
+        assert len(small) >= 60
+        for h in small:
+            assert_matches_group_reference(h)
+        # 30 entries split the classes of every cover over 5 classes into blocks
+        extension_block(30)
+        for h in small:
+            assert_matches_group_reference(h)
 
     def test_eight_flag_classes(self, classes8):
         for hs in classes8.values():

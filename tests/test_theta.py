@@ -286,7 +286,11 @@ def assert_mask_matches_reference(h):
 
 
 class TestExtensionMask:
-    def test_catalog_matches_reference(self, catalog):
+    def test_catalog_matches_reference(self, catalog, extension_block):
+        for _, h in catalog:
+            assert_mask_matches_reference(h)
+        # 100 entries split the targets of every map over 10 flags into blocks
+        extension_block(100)
         for _, h in catalog:
             assert_mask_matches_reference(h)
 
