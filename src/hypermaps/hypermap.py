@@ -284,15 +284,8 @@ def canonical_form(h: Hypermap) -> Permutation:
 
 
 def canonical_code(h: Hypermap) -> bytes:
-    """Isomorphism certificate: equal codes exactly when isomorphic."""
+    """Isomorphism certificate (equal exactly when isomorphic), to deduplicate many maps."""
     return _canonical(h)[0]
-
-
-def are_isomorphic(a: Hypermap, b: Hypermap) -> bool:
-    """Color-and-generator-preserving bijection of flags exists."""
-    if a.n_flags != b.n_flags:
-        return False
-    return canonical_code(a) == canonical_code(b)
 
 
 # Entries (flags x targets) of one psi block yielded by _extensions.
@@ -350,6 +343,12 @@ def find_covering(a: Hypermap, b: Hypermap) -> tuple[int, ...] | None:
         if hits.size:
             return tuple(int(v) for v in psi[:, hits[0]])
     return None
+
+
+def are_isomorphic(a: Hypermap, b: Hypermap) -> bool:
+    """Color-and-generator-preserving bijection of flags exists. A covering
+    a -> b is onto, b being transitive; with equal flag counts it is a bijection."""
+    return a.n_flags == b.n_flags and find_covering(a, b) is not None
 
 
 @functools.lru_cache(maxsize=4)

@@ -267,15 +267,15 @@ def core_summary(h: Hypermap) -> QuotientSummary:
 
     The core has |Mon| flags; its type is h's, since each valency lcm is the
     order of a product of two generators in Mon, and its k-faces number
-    |Mon| over twice those orders. The core covers h, so it is orientable
-    when h is; otherwise exactly when the even words <h0 h1, h1 h2> have
-    index 2 in Mon.
+    |Mon| over twice those orders. It covers h, so it is orientable when h
+    is, and is h when |Mon| = n; otherwise it is orientable exactly when
+    the even words <h0 h1, h1 h2> have index 2 in Mon.
     """
     order = _monodromy_order(h)
     t = type_of(h)
     chi = order // (2 * t.l) + order // (2 * t.m) + order // (2 * t.n) - order // 2
     orientable = _parity_coloring(h, (1, 1, 1)) is not None
-    if not orientable:
+    if not orientable and order > h.n_flags:
         h0, h1, h2 = h.h
         orientable = 2 * generate_group((h0 * h1, h1 * h2)).order == order
     return QuotientSummary(

@@ -1,7 +1,11 @@
 """Hypermap core: validation, faces, surfaces, duality, isomorphism, coverings."""
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from hypermaps import (
     HasFixedPoint,
@@ -22,12 +26,14 @@ from hypermaps import (
     is_uniform,
     k_faces,
     relabel,
+    six_duals,
     surface_class,
     to_text,
     type_of,
     valencies,
     validate,
 )
+from hypermaps import _kernels
 from hypermaps.build import (
     build_Dn,
     build_Mk,
@@ -37,6 +43,7 @@ from hypermaps.build import (
     regular_from_type,
     walsh,
 )
+from hypermaps.catalog import build_named, verify_table2, verify_table3, verify_theorem_mk
 from hypermaps.hypermap import _canonical, monodromy_group
 from hypermaps.perm import orbits
 from hypermaps.theta import _stab_matched_flags
@@ -262,6 +269,89 @@ class TestCanonicalAndIsomorphism:
 
     def test_different_sizes_never_isomorphic(self):
         assert not are_isomorphic(build_Dn(2), build_Dn(3))
+
+
+@pytest.fixture(scope="module")
+def dual_pairs(catalog):
+    """(a, b, equal codes) for the equal-size pairs among the six duals of
+    every catalog entry of at most 240 flags."""
+    maps = [d for _, h in catalog if h.n_flags <= 240 for d in six_duals(h)]
+    codes = [canonical_code(h) for h in maps]
+    return [
+        (maps[i], maps[j], codes[i] == codes[j])
+        for i, j in itertools.combinations(range(len(maps)), 2)
+        if maps[i].n_flags == maps[j].n_flags
+    ]
+
+
+def refuse_codes(monkeypatch):
+    """Make every canonical code fail; all of them go through _kernels.canonical_codes."""
+
+    def refuse(*args):
+        raise AssertionError("a canonical code was computed")
+
+    monkeypatch.setattr(_kernels, "canonical_codes", refuse)
+    _canonical.cache_clear()
+
+
+@st.composite
+def transitive_triples(draw, n):
+    """Three fixed-point-free involutions on n flags, acting transitively."""
+    triple = []
+    for _ in range(3):
+        points = draw(st.permutations(range(n)))
+        images = [0] * n
+        for a, b in zip(points[::2], points[1::2]):
+            images[a], images[b] = b, a
+        triple.append(tuple(images))
+    try:
+        validate(n, *triple)
+    except NotTransitive:
+        assume(False)
+    return tuple(triple)
+
+
+@st.composite
+def triples_and_relabelling(draw):
+    """Two transitive triples on the same 6 to 16 flags, and a relabelling."""
+    n = draw(st.sampled_from(range(6, 17, 2)))
+    return draw(transitive_triples(n)), draw(transitive_triples(n)), draw(st.permutations(range(n)))
+
+
+class TestIsomorphismByExtension:
+    """are_isomorphic extends flag 0 and computes no canonical code."""
+
+    def test_catalog_dual_pairs_match_codes(self, dual_pairs, monkeypatch):
+        assert len(dual_pairs) == 6633
+        assert sum(same for _, _, same in dual_pairs) == 1008
+        refuse_codes(monkeypatch)
+        for a, b, same in dual_pairs:
+            assert are_isomorphic(a, b) == same
+
+    def test_table_reproductions_compute_no_code(self, monkeypatch):
+        refuse_codes(monkeypatch)
+        rows = verify_table2(6) + verify_table3(5) + verify_theorem_mk(8)
+        assert len(rows) == 64 + 51 + 8 and all(row.matches for row in rows)
+
+    def test_isomorphism_past_the_first_block(self, extension_block):
+        b = build_named("wal(pin(T))")
+        a = relabel(b, Permutation(np.random.default_rng(1).permutation(b.n_flags)))
+        tb = bf.as_triple(b)
+        other = next(d for d in six_duals(a) if not bf.isomorphism_exists(tb, bf.as_triple(d)))
+        first = find_covering(b, a)[0]
+        assert first > 1
+        # blocks of `first` targets: the first isomorphism starts the second block
+        extension_block(first * b.n_flags)
+        assert are_isomorphic(b, a) and are_isomorphic(a, b)
+        assert not are_isomorphic(b, other)
+
+    @settings(max_examples=80, deadline=None)
+    @given(case=triples_and_relabelling())
+    def test_random_triples_match_reference(self, case):
+        s, t, sigma = case
+        a, b = validate(len(sigma), *s), validate(len(sigma), *t)
+        assert are_isomorphic(a, relabel(a, Permutation(sigma)))
+        assert are_isomorphic(a, b) == (bf.canonical_code(s)[0] == bf.canonical_code(t)[0])
 
 
 class TestFindCovering:

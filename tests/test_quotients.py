@@ -188,6 +188,24 @@ class TestCoveringCore:
         for _, h in catalog[:12]:
             assert covering_core(h).n_flags == monodromy(h).order
 
+    def test_regular_non_orientable_summary_enumerates_no_group(self, monkeypatch):
+        # a regular input is its own core, so no even-word subgroup is needed
+        h = validate(8, *NON_ORIENTABLE_CORE_8)
+        assert is_regular(h) and not surface_class(h).orientable
+        closure, calls = perm._closure, []
+
+        def spy(*args):
+            calls.append(args)
+            return closure(*args)
+
+        monkeypatch.setattr(perm, "_closure", spy)
+        monodromy_group.cache_clear()
+        summary = core_summary(h)
+        assert calls == []
+        core = covering_core(h)
+        assert len(calls) == 1
+        assert (summary.flags, summary.genus) == (core.n_flags, surface_class(core).genus)
+
 
 class TestClosureCover:
     def test_doubled_cube_collapses_to_four_flags(self):
