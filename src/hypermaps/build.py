@@ -276,7 +276,7 @@ def walsh(h: Hypermap) -> Hypermap:
     t0 = np.arange(2 * h.n_flags, dtype=DTYPE) ^ 1
     t1 = _interleave(2 * h1, 2 * h0 + 1)
     t2 = _interleave(2 * h2, 2 * h2 + 1)
-    return Hypermap(2 * h.n_flags, Permutation(t0), Permutation(t1), Permutation(t2))
+    return Hypermap(2 * h.n_flags, t0, t1, t2)
 
 
 def pin(h: Hypermap) -> Hypermap:
@@ -289,7 +289,7 @@ def pin(h: Hypermap) -> Hypermap:
     t0 = np.arange(2 * h.n_flags, dtype=DTYPE) ^ 1
     t1 = _interleave(2 * h1, 2 * h0 + 1)
     t2 = _interleave(2 * h2, 2 * h0 + 1)
-    return Hypermap(2 * h.n_flags, Permutation(t0), Permutation(t1), Permutation(t2))
+    return Hypermap(2 * h.n_flags, t0, t1, t2)
 
 
 def _restrict(full: np.ndarray, flags: np.ndarray, pos: np.ndarray) -> np.ndarray:
@@ -330,9 +330,7 @@ def unwalsh(k: Hypermap, class_of: int | None = None) -> Hypermap:
     g1 = _restrict(t1, flags, pos)
     g2 = _restrict(t2, flags, pos)
     try:
-        return Hypermap(
-            flags.shape[0], Permutation(g0), Permutation(g1), Permutation(g2)
-        )
+        return Hypermap(flags.shape[0], g0, g1, g2)
     except Exception as exc:
         raise InvalidRestriction(str(exc)) from exc
 
@@ -369,7 +367,7 @@ def unpin(k: Hypermap) -> Hypermap:
         raise KernelMismatch("t0 t1 t0 and t0 t2 t0 differ on the kept class")
     g1 = _restrict(t1, flags, pos)
     g2 = _restrict(t2, flags, pos)
-    return Hypermap(flags.shape[0], Permutation(g0a), Permutation(g1), Permutation(g2))
+    return Hypermap(flags.shape[0], g0a, g1, g2)
 
 
 def six_duals(h: Hypermap) -> tuple[Hypermap, ...]:

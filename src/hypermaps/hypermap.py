@@ -39,6 +39,7 @@ __all__ = [
     "is_uniform",
     "dual",
     "relabel",
+    "canonical_code",
     "canonical_form",
     "are_isomorphic",
     "find_covering",

@@ -2,15 +2,19 @@
 
 Permutations act on the right: the product ``a * b`` means "apply a, then b",
 so ``(a * b)(x) == b(a(x))``. Groups are stored by full element enumeration
-(the largest in the catalog, Mon of wal(pin(T)), has order 331,776), ordered
-by breadth-first discovery from the identity with the generators applied in
-the given order.
+(the largest in the catalog, Mon of wal(pin(T)), has order 331,776). One
+breadth-first closure of the identity builds them all: generate_group under
+right multiplication by the generators, in the given order, and
+normal_closure under right multiplication by the seeds and conjugation by
+the ambient generators. recognize_group names a group from the histogram
+of its element orders alone.
 All values are immutable after construction and every operation is a pure
 function, so concurrent use needs no coordination.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -169,23 +173,36 @@ def _as_rows(perms, degree: int | None) -> tuple[np.ndarray, int]:
     return np.empty((0, degree), dtype=DTYPE), degree
 
 
-def _closure(gen_rows: np.ndarray, degree: int) -> tuple[np.ndarray, dict[bytes, int]]:
-    """Breadth-first closure from the identity; generators applied in order."""
+def _closure(right: np.ndarray, conj: np.ndarray) -> tuple[np.ndarray, dict[bytes, int]]:
+    """Breadth-first closure of the identity under the maps x -> post[x[pre]].
+
+    Each row s of right gives the right multiplication x -> x s (post = s,
+    pre = identity), each row g of conj the conjugation x -> g^-1 x g
+    (post = g, pre = g^-1). Every round applies the right multiplications,
+    then the conjugations, to the frontier, each block ordered by frontier
+    row, then map; new elements are numbered in that order.
+    """
+    degree = right.shape[1]
     ident = np.arange(degree, dtype=DTYPE)
     blocks = [ident[None, :]]
     index: dict[bytes, int] = {ident.tobytes(): 0}
     as_bytes = np.dtype((np.void, degree * ident.itemsize))
     frontier = blocks[0]
-    gens = np.arange(gen_rows.shape[0])[:, None]
+    conj_inv = np.argsort(conj, axis=1)  # a permutation's argsort is its inverse
+    right_k = np.arange(right.shape[0])[:, None]
+    conj_k = np.arange(conj.shape[0])[:, None]
     while frontier.shape[0]:
-        # cand[r, k] = g_k[frontier[r]]: ordered by frontier row, then generator
-        cand = gen_rows[gens, frontier[:, None, :]].reshape(-1, degree)
-        new = []
-        for i, key in enumerate(cand.view(as_bytes).ravel().tolist()):
-            if key not in index:
-                index[key] = len(index)
-                new.append(i)
-        frontier = cand[new]
+        found = []
+        for cand in (right[right_k, frontier[:, None, :]], conj[conj_k, frontier[:, conj_inv]]):
+            # the conjugation gather can come back in a non-C layout, which .view rejects
+            cand = np.ascontiguousarray(cand.reshape(-1, degree))
+            new = []
+            for i, key in enumerate(cand.view(as_bytes).ravel().tolist()):
+                if key not in index:
+                    index[key] = len(index)
+                    new.append(i)
+            found.append(cand[new])
+        frontier = np.concatenate(found)
         blocks.append(frontier)
     matrix = np.concatenate(blocks)
     matrix.setflags(write=False)
@@ -200,12 +217,11 @@ class FiniteGroup:
     the other operations below), which guarantee the closure invariants.
     """
 
-    __slots__ = ("degree", "generators", "identity_index", "_matrix", "_index", "_elements", "_orders")
+    __slots__ = ("degree", "generators", "_matrix", "_index", "_elements", "_orders")
 
     def __init__(self, degree: int, generators: tuple[Permutation, ...], matrix: np.ndarray, index: dict[bytes, int]):
         self.degree = degree
         self.generators = generators
-        self.identity_index = 0
         self._matrix = matrix
         self._index = index
         self._elements: tuple[Permutation, ...] | None = None
@@ -232,28 +248,10 @@ class FiniteGroup:
     def element(self, i: int) -> Permutation:
         return Permutation._wrap(self._matrix[i])
 
-    def index_of(self, p: Permutation) -> int:
-        key = np.ascontiguousarray(p.images, dtype=DTYPE).tobytes()
-        try:
-            return self._index[key]
-        except KeyError:
-            raise NotAMember("permutation is not an element of the group") from None
-
     def __contains__(self, p) -> bool:
         if not isinstance(p, Permutation) or p.degree != self.degree:
             return False
         return np.ascontiguousarray(p.images, dtype=DTYPE).tobytes() in self._index
-
-    def multiply_indices(self, i: int, j: int) -> int:
-        """Index of element_i * element_j (apply i, then j)."""
-        row = self._matrix[j][self._matrix[i]]
-        return self._index[row.tobytes()]
-
-    def inverse_index(self, i: int) -> int:
-        row = self._matrix[i]
-        inv = np.empty_like(row)
-        inv[row] = np.arange(self.degree, dtype=DTYPE)
-        return self._index[inv.tobytes()]
 
     def element_orders(self) -> np.ndarray:
         """Order of every element, aligned with element indexing."""
@@ -284,7 +282,7 @@ def generate_group(generators, degree: int | None = None) -> FiniteGroup:
     if not gen_list:
         raise EmptyGenerators("generate_group requires at least one generator")
     rows, degree = _as_rows(gen_list, degree)
-    matrix, index = _closure(rows, degree)
+    matrix, index = _closure(rows, rows[:0])
     return FiniteGroup(degree, tuple(gen_list), matrix, index)
 
 
@@ -312,55 +310,26 @@ def point_stabilizer(group: FiniteGroup, point: int) -> FiniteGroup:
     return _group_from_rows(group.degree, gens, matrix)
 
 
-def _conjugate_rows(rows: np.ndarray, g: np.ndarray, g_inv: np.ndarray) -> np.ndarray:
-    # (r^g)(x) = g(r(g^{-1}(x))), vectorized over the rows r
-    return g[rows[:, g_inv]]
-
-
 def normal_closure(group: FiniteGroup, seeds) -> FiniteGroup:
-    """Smallest subgroup containing the seeds and closed under conjugation
-    by all generators of the ambient group."""
+    """Smallest normal subgroup N of the group containing the seeds.
+
+    One breadth-first closure of the identity under right multiplication by
+    each seed and conjugation by each generator g of the group. The set X
+    it reaches lies in N, which contains the seeds and is normal. X is
+    closed under conjugation by each g; as that map is injective on the
+    finite X, X is closed under conjugation by g^-1 too. So
+    x s^g = (x^(g^-1) s)^g lies in X for every conjugate s^g of a seed.
+    Those conjugates generate N, and a finite set containing 1 and closed
+    under right multiplication by a generating set of N is N. The result's
+    generators are the seeds, or the identity when there are none.
+    """
     seed_perms = [s if isinstance(s, Permutation) else Permutation(s) for s in seeds]
     for s in seed_perms:
         if s not in group:
             raise NotAMember("normal closure seed is not in the group")
-    gen_rows = [np.ascontiguousarray(g.images, dtype=DTYPE) for g in group.generators]
-    gen_invs = []
-    for g in gen_rows:
-        inv = np.empty_like(g)
-        inv[g] = np.arange(group.degree, dtype=DTYPE)
-        gen_invs.append(inv)
-
-    closure_gens: list[np.ndarray] = []
-    seen_gens: set[bytes] = set()
-    for s in seed_perms:
-        key = s.images.tobytes()
-        if key not in seen_gens:
-            seen_gens.add(key)
-            closure_gens.append(np.ascontiguousarray(s.images, dtype=DTYPE))
-    if not closure_gens:
-        closure_gens = [np.arange(group.degree, dtype=DTYPE)]
-        seen_gens.add(closure_gens[0].tobytes())
-
-    matrix, index = _closure(np.stack(closure_gens), group.degree)
-    while True:
-        grew = False
-        for g, ginv in zip(gen_rows, gen_invs):
-            conj = _conjugate_rows(matrix, g, ginv)
-            for row in conj:
-                key = row.tobytes()
-                if key not in index:
-                    if key not in seen_gens:
-                        seen_gens.add(key)
-                        closure_gens.append(row.copy())
-                    grew = True
-            if grew:
-                break
-        if not grew:
-            break
-        matrix, index = _closure(np.stack(closure_gens), group.degree)
-
-    gens = tuple(Permutation._wrap(_freeze(r)) for r in closure_gens)
+    gens = tuple(seed_perms) or (Permutation.identity(group.degree),)
+    rows, _ = _as_rows(gens, group.degree)
+    matrix, index = _closure(rows, _as_rows(group.generators, group.degree)[0])
     return FiniteGroup(group.degree, gens, matrix, index)
 
 
@@ -374,10 +343,8 @@ def quotient_action(group: FiniteGroup, normal: FiniteGroup) -> tuple[int, tuple
             raise NotNormal("subgroup elements are not all in the group")
     gen_rows = [np.ascontiguousarray(g.images, dtype=DTYPE) for g in group.generators]
     for g in gen_rows:
-        inv = np.empty_like(g)
-        inv[g] = np.arange(group.degree, dtype=DTYPE)
-        conj = _conjugate_rows(n_mat, g, inv)
-        for row in conj:
+        # (r^g)(x) = g(r(g^-1(x))) for every row r of the subgroup
+        for row in g[n_mat[:, np.argsort(g)]]:
             if row.tobytes() not in normal._index:
                 raise NotNormal("subgroup is not closed under conjugation")
 
@@ -482,61 +449,45 @@ class GroupName:
         return f"{self.tag}({self.param})"
 
 
-def _center_is_trivial(group: FiniteGroup) -> bool:
-    gen_idx = [group.index_of(p) for p in group.generators]
-    count = 0
-    for i in range(group.order):
-        if all(group.multiply_indices(i, g) == group.multiply_indices(g, i) for g in gen_idx):
-            count += 1
-            if count > 1:
-                return False
-    return count == 1
-
-
 def recognize_group(group: FiniteGroup) -> GroupName:
-    """Decision list for the group families this package reports.
+    """Decision list over the histogram of element orders alone.
 
     Order of tests: Trivial; Cyclic (element of full order); KleinFour
-    (order 4, exponent 2); Dihedral (index-2 cyclic subgroup plus an
-    inverting involution, order >= 6); Alt4 (order 12, element orders
-    {1,2,3}, no order-6 element); Sym4 (order 24, trivial center, orders
-    within {1,2,3,4}); Alt5 (order 60 with 24 elements of order 5, that
-    is six Sylow 5-subgroups; a group of order 60 with more than one is
-    simple, hence A5). Anything else is Unrecognized(order), never
-    guessed. Dihedral groups of orders 2 and 4 therefore come out as
-    Cyclic(2) and KleinFour.
+    (order 4, exponent 2); Dihedral(k); Alt4 (order 12, element orders
+    {1,2,3}); Sym4; Alt5 (order 60 with 24 elements of order 5, that is six
+    Sylow 5-subgroups; a group of order 60 with more than one is simple,
+    hence A5). Anything else is Unrecognized(order), never guessed.
+    Dihedral groups of orders 2 and 4 therefore come out as Cyclic(2) and
+    KleinFour.
+
+    Dihedral(k): order n = 2k >= 6, an element r of order k, and exactly
+    k + [k even] involutions. <r> has index 2 and holds [k even] of them,
+    so all k elements outside <r> are involutions. For such a t, tr is
+    outside <r> as well, so (tr)^2 = 1 and t inverts r.
+
+    Sym4: order 24 with element orders within {1,2,3,4}. A normal Sylow
+    3-subgroup P would be centralized by a subgroup of order >= 12, which
+    holds an involution and so an element of order 6; hence there are four
+    Sylow 3-subgroups. A kernel of order 2 of the action on them would be
+    central, again giving order 6, and a larger kernel would contain a
+    Sylow 3-subgroup normal in the group. So the action is faithful and the
+    group, of order 24, is S4.
     """
     n = group.order
     if n == 1:
         return GroupName.trivial()
-    orders = group.element_orders()
-    if int(orders.max()) == n:
+    hist = Counter(group.element_orders().tolist())
+    if hist[n]:
         return GroupName.cyclic(n)
-    if n == 4 and int(orders.max()) == 2:
+    if n == 4 and max(hist) == 2:
         return GroupName.klein_four()
-    if n >= 6 and n % 2 == 0:
-        half = n // 2
-        involutions = np.nonzero(orders == 2)[0]
-        for r in np.nonzero(orders == half)[0]:
-            r = int(r)
-            powers = set()
-            cur = group.identity_index
-            for _ in range(half):
-                powers.add(cur)
-                cur = group.multiply_indices(cur, r)
-            inv_r = group.inverse_index(r)
-            for t in involutions:
-                t = int(t)
-                if t in powers:
-                    continue
-                if group.multiply_indices(group.multiply_indices(t, r), t) == inv_r:
-                    return GroupName.dihedral(half)
-    order_set = set(int(o) for o in orders)
-    if n == 12 and order_set == {1, 2, 3}:
+    k = n // 2
+    if n >= 6 and n % 2 == 0 and hist[k] and hist[2] == k + (k % 2 == 0):
+        return GroupName.dihedral(k)
+    if n == 12 and set(hist) == {1, 2, 3}:
         return GroupName.alt4()
-    if n == 24 and order_set <= {1, 2, 3, 4} and _center_is_trivial(group):
+    if n == 24 and set(hist) <= {1, 2, 3, 4}:
         return GroupName.sym4()
-    if n == 60 and int(np.count_nonzero(orders == 5)) == 24:
+    if n == 60 and hist[5] == 24:
         return GroupName.alt5()
     return GroupName.unrecognized(n)
-

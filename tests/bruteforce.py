@@ -69,6 +69,35 @@ def is_abelian(elems) -> bool:
     return all(compose(a, b) == compose(b, a) for a in elems for b in elems)
 
 
+def is_dihedral(elems) -> bool:
+    """Order 2k >= 6 with r of order k and an involution t outside <r>
+    such that t r t = r^{-1}, found by searching all pairs."""
+    elems = list(elems)
+    n = len(elems)
+    k = n // 2
+    if n < 6 or n % 2:
+        return False
+    for r in elems:
+        if perm_order(r) != k:
+            continue
+        powers = {identity(len(r))}
+        p = r
+        while p not in powers:
+            powers.add(p)
+            p = compose(p, r)
+        r_inv = inverse(r)
+        for t in elems:
+            if t not in powers and perm_order(t) == 2 and compose(compose(t, r), t) == r_inv:
+                return True
+    return False
+
+
+def center_is_trivial(elems) -> bool:
+    elems = list(elems)
+    central = [a for a in elems if all(compose(a, b) == compose(b, a) for b in elems)]
+    return len(central) == 1
+
+
 def commutator_closure(elems) -> frozenset[tuple[int, ...]]:
     """Subgroup generated by all commutators a^{-1} b^{-1} a b."""
     elems = list(elems)

@@ -462,3 +462,30 @@ class TestSerialization:
 
         with pytest.raises(ParseError):
             from_text("not a document")
+
+
+class TestPublicNames:
+    def test_every_export_is_listed_in_its_submodule(self):
+        # the package re-exports each name with one `from .<submodule> import`
+        import ast
+        import importlib
+        from pathlib import Path
+
+        import hypermaps
+        from hypermaps import HypermapsError, errors
+
+        tree = ast.parse(Path(hypermaps.__file__).read_text())
+        source = {
+            alias.name: node.module
+            for node in tree.body
+            if isinstance(node, ast.ImportFrom) and node.level == 1
+            for alias in node.names
+        }
+        for name in hypermaps.__all__:
+            module = importlib.import_module(f"hypermaps.{source[name]}")
+            obj = getattr(hypermaps, name)
+            assert getattr(obj, "__module__", module.__name__) == module.__name__, name
+            if module is errors:
+                assert isinstance(obj, type) and issubclass(obj, HypermapsError), name
+            else:
+                assert name in module.__all__, f"{name} is missing from {module.__name__}.__all__"

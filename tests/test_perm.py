@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hypermaps import (
     EmptyGenerators,
@@ -95,11 +97,6 @@ class TestGenerateGroup:
         assert perm((0, 2, 1), degree=3) in g
         assert Permutation([1, 0, 2]) not in g
 
-    def test_index_arithmetic(self):
-        g = generate_group(bf.dihedral_gens(4), degree=4)
-        for i in range(g.order):
-            assert g.multiply_indices(i, g.inverse_index(i)) == 0
-
 
 class TestOrbits:
     def test_vertex_orbits_of_24_flag_map(self):
@@ -142,6 +139,16 @@ def _alt5_group() -> FiniteGroup:
     return generate_group([perm((0, 1, 2, 3, 4), degree=5), perm((0, 1, 2), degree=5)])
 
 
+@st.composite
+def groups_and_seeds(draw):
+    """(degree, generators, seed picks): a group of degree <= 6 and indices
+    of seed elements, taken modulo the group order (0 is the identity)."""
+    degree = draw(st.integers(2, 6))
+    gens = draw(st.lists(st.permutations(range(degree)).map(tuple), min_size=1, max_size=3))
+    picks = draw(st.lists(st.integers(0, 719), max_size=3))
+    return degree, gens, picks
+
+
 class TestNormalClosure:
     def test_identity_seed_gives_trivial_subgroup(self):
         g = generate_group(bf.dihedral_gens(4), degree=4)
@@ -170,6 +177,23 @@ class TestNormalClosure:
         sub = {tuple(int(v) for v in e.images) for e in n.elements}
         gens = [tuple(int(v) for v in p.images) for p in g.generators]
         assert bf.is_normal(gens, frozenset(sub))
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=groups_and_seeds())
+    @example(case=(4, bf.dihedral_gens(4), []))
+    @example(case=(4, bf.dihedral_gens(4), [0]))
+    @example(case=(5, [(1, 2, 3, 4, 0), (1, 2, 0, 3, 4)], [1, 7]))
+    def test_matches_brute_closure(self, case):
+        degree, gens, picks = case
+        g = generate_group(gens, degree=degree)
+        seeds = [g.element(i % g.order) for i in picks]
+        expected = bf.normal_closure_brute(
+            gens, [tuple(int(v) for v in s.images) for s in seeds] or [bf.identity(degree)]
+        )
+        closure = normal_closure(g, seeds)
+        assert {tuple(int(v) for v in e.images) for e in closure.elements} == expected
+        assert closure.order == len(expected)
+        assert closure.generators == (tuple(seeds) or (Permutation.identity(degree),))
 
     def test_dodecahedral_pin_stabilizer_closure(self):
         # reference first: conjugation-closed closure of the flag-0
@@ -245,7 +269,65 @@ class TestQuotientAction:
                     assert after.is_identity()
 
 
+def _sl23_generators() -> list[Permutation]:
+    """SL(2,3) acting on the 8 nonzero row vectors of F_3^2 by v -> vM."""
+    vectors = [(a, b) for a in range(3) for b in range(3) if (a, b) != (0, 0)]
+
+    def act(m):
+        return Permutation([
+            vectors.index(((a * m[0][0] + b * m[1][0]) % 3, (a * m[0][1] + b * m[1][1]) % 3))
+            for a, b in vectors
+        ])
+
+    return [act(((1, 1), (0, 1))), act(((0, 2), (1, 0)))]
+
+
+def _near_miss_groups() -> dict[str, FiniteGroup]:
+    """Groups of orders 8, 12 and 24 whose element-order counts come close
+    to the dihedral and S4 rules, each from permutation generators."""
+    shifted_d6 = [tuple(range(6)) + tuple(6 + v for v in g) for g in bf.dihedral_gens(6)]
+    return {
+        "Q8": generate_group([perm((0, 1, 2, 3), (4, 5, 6, 7), degree=8),
+                              perm((0, 4, 2, 6), (1, 7, 3, 5), degree=8)]),
+        "C4xC2": generate_group([perm((0, 1, 2, 3), degree=6), perm((4, 5), degree=6)]),
+        "C2^3": generate_group([perm((0, 1), degree=6), perm((2, 3), degree=6), perm((4, 5), degree=6)]),
+        "D4": generate_group(bf.dihedral_gens(4), degree=4),
+        "Dic3": generate_group([perm((0, 1, 2), degree=7), perm((1, 2), (3, 4, 5, 6), degree=7)]),
+        "C6xC2": generate_group([perm((0, 1, 2), (3, 4), degree=7), perm((5, 6), degree=7)]),
+        "D6": generate_group(bf.dihedral_gens(6), degree=6),
+        "A4": generate_group([perm((0, 1), (2, 3), degree=4), perm((0, 1, 2), degree=4)]),
+        "SL(2,3)": generate_group(_sl23_generators()),
+        "C2xA4": generate_group([perm((0, 1), (2, 3), degree=6), perm((0, 1, 2), degree=6),
+                                 perm((4, 5), degree=6)]),
+        "D12": generate_group(bf.dihedral_gens(12), degree=12),
+        "C2xD6": generate_group([*map(Permutation, shifted_d6), perm((0, 1), degree=12)]),
+        "S4": generate_group([perm((0, 1), degree=4), perm((0, 1, 2, 3), degree=4)]),
+    }
+
+
 class TestRecognizeGroup:
+    def test_near_misses_match_brute_predicates(self):
+        # reference first: dihedral by a search for r, t with t r t = r^-1,
+        # S4 as order 24, element orders within {1,2,3,4} and trivial centre
+        names = {}
+        for label, g in _near_miss_groups().items():
+            elems = bf.closure([tuple(int(v) for v in p.images) for p in g.generators])
+            assert len(elems) == g.order, label
+            name = names[label] = recognize_group(g)
+            assert (name.tag == "Dihedral") == bf.is_dihedral(elems), label
+            is_sym4 = (
+                len(elems) == 24
+                and set(bf.element_orders(elems)) <= {1, 2, 3, 4}
+                and bf.center_is_trivial(elems)
+            )
+            assert (name == GroupName.sym4()) == is_sym4, label
+        named = {"D4": GroupName.dihedral(4), "D6": GroupName.dihedral(6), "A4": GroupName.alt4(),
+                 "D12": GroupName.dihedral(12), "S4": GroupName.sym4()}
+        orders = {"Q8": 8, "C4xC2": 8, "C2^3": 8, "Dic3": 12, "C6xC2": 12, "SL(2,3)": 24,
+                  "C2xA4": 24, "C2xD6": 24}
+        expected = {**named, **{k: GroupName.unrecognized(n) for k, n in orders.items()}}
+        assert names == expected
+
     def test_trivial(self):
         g = generate_group([Permutation.identity(1)])
         assert recognize_group(g) == GroupName.trivial()
