@@ -15,13 +15,14 @@ The per-class classification here is deliberately written out locally (plain
 breadth-first searches on small arrays) instead of calling the library's own
 predicates, so a defect in those would surface as a disagreement rather than
 be confirmed by itself. A second pass fixes h0 to the standard involution,
-filters with the local transitivity and Euler checks instead of the array
-scan, and re-counts the classes; the counts must agree.
+keeps the triples with Euler sum 2 by counting cycles of the generator
+products and the transitive ones by reachability from flag 0, without the
+orbit labels of the array scan, and re-counts the classes; the counts must
+agree.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,7 +34,7 @@ from ..hypermap import Hypermap, canonical_code
 
 __all__ = ["OracleReport", "brute_oracle", "fixed_point_free_involutions"]
 
-_TRIPLE_BLOCK = 1 << 14  # triples canonicalized per call
+_TRIPLE_BLOCK = 1 << 14  # triples canonicalized, or filtered, per array call
 
 
 def fixed_point_free_involutions(n: int) -> np.ndarray:
@@ -130,15 +131,33 @@ def _local_has_automorphism(hs: np.ndarray, target: int) -> bool:
     return True
 
 
-def _local_is_transitive(hs: np.ndarray) -> bool:
-    return len(_local_orbits([hs[0], hs[1], hs[2]], hs.shape[1])) == 1
+def _cycle_counts(perms: np.ndarray) -> np.ndarray:
+    """Number of cycles of each permutation row of perms (B, n).
+
+    A cycle is counted at its least point. Every cycle has at most n points,
+    so a running minimum over n - 1 steps along the rows finds, at each
+    point, the least point of its cycle.
+    """
+    size, n = perms.size, perms.shape[1]
+    points = np.arange(size)
+    step = (perms + np.arange(0, size, n)[:, None]).reshape(-1)
+    least = walk = points
+    for _ in range(n - 1):
+        walk = step[walk]
+        least = np.minimum(least, walk)
+    return (least == points).reshape(perms.shape).sum(axis=1)
 
 
-def _local_euler(hs: np.ndarray) -> int:
-    n = hs.shape[1]
-    pairs = [(1, 2), (0, 2), (0, 1)]
-    faces = sum(len(_local_orbits([hs[i], hs[j]], n)) for i, j in pairs)
-    return faces - n // 2
+def _reaches_all(hs: np.ndarray) -> np.ndarray:
+    """Whether flag 0 reaches every flag under the involutions hs (K, 3, n)."""
+    rows = np.arange(hs.shape[0])[:, None]
+    seen = np.zeros((hs.shape[0], hs.shape[2]), dtype=bool)
+    seen[:, 0] = True
+    while True:
+        grown = seen | seen[rows, hs[:, 0]] | seen[rows, hs[:, 1]] | seen[rows, hs[:, 2]]
+        if np.array_equal(grown, seen):
+            return seen.all(axis=1)
+        seen = grown
 
 
 @dataclass(frozen=True)
@@ -187,12 +206,36 @@ def _classes_from_triples(invs: np.ndarray, triples: np.ndarray) -> dict[bytes, 
     return {key: invs[triple] for key, triple in firsts.items()}
 
 
-def _recount_fixed_h0(invs: np.ndarray, n: int) -> int:
-    """Independent pass: h0 pinned to the standard pairing (0 1)(2 3)..."""
+def _fixed_h0_spherical(invs: np.ndarray, n: int) -> np.ndarray:
+    """The transitive triples (h0, h1, h2) with Euler sum 2 and h0 the
+    standard pairing (0 1)(2 3)..., over all rows h1, h2 of invs, as a
+    (K, 3, n) stack in the order of the (h1, h2) pairs."""
+    m = invs.shape[0]
     standard = np.arange(n, dtype=DTYPE) ^ 1
-    stacks = (np.stack([standard, a, b]) for a, b in itertools.product(invs, repeat=2))
-    kept = [hs for hs in stacks if _local_is_transitive(hs) and _local_euler(hs) == 2]
-    codes, _ = _kernels.canonical_codes(np.stack(kept))
+    # orbits of <h0, h> for every row h: the edges E of h2, the faces F of h1
+    with_h0 = _cycle_counts(invs[:, standard]) // 2
+    kept = []
+    for start in range(0, m * m, _TRIPLE_BLOCK):
+        one, two = np.divmod(np.arange(start, min(start + _TRIPLE_BLOCK, m * m)), m)
+        vertices = _cycle_counts(np.take_along_axis(invs[two], invs[one], axis=1)) // 2
+        sphere = vertices + with_h0[one] + with_h0[two] - n // 2 == 2
+        one, two = one[sphere], two[sphere]
+        hs = np.stack([np.broadcast_to(standard, (one.size, n)), invs[one], invs[two]], axis=1)
+        kept.append(hs[_reaches_all(hs)])
+    return np.concatenate(kept)
+
+
+def _recount_fixed_h0(invs: np.ndarray, n: int) -> int:
+    """Independent pass: the classes met with h0 pinned to the standard pairing.
+
+    Relabelling moves any fixed-point-free h0 to the standard one, so this
+    slice meets every class. For fixed-point-free involutions x and y, each
+    orbit of <x, y> has 2k points on which xy has exactly two cycles, each
+    of length k; so V, E and F are half the cycle counts of h1h2, h0h2 and
+    h0h1. Transitivity is reachability from flag 0. Neither uses the orbit
+    labels behind the array scan, so a defect there shows as a disagreement.
+    """
+    codes, _ = _kernels.canonical_codes(_fixed_h0_spherical(invs, n))
     return len({code.tobytes() for code in codes})
 
 

@@ -111,21 +111,25 @@ def commutator_closure(elems) -> frozenset[tuple[int, ...]]:
 def normal_closure_brute(ambient_gens, seeds) -> frozenset[tuple[int, ...]]:
     """Smallest subgroup containing seeds, closed under conjugation by the
     ambient generators. Conjugating by generators suffices: conjugation by
-    any product is a composition of generator conjugations."""
+    any product is a composition of generator conjugations.
+
+    A seed or conjugate is kept as a generator only when it lies outside the
+    subgroup generated so far. Conjugation is an automorphism, so the
+    subgroup is closed under it once the conjugates of the kept generators
+    lie in it; the subgroup at least doubles with each kept generator."""
     ambient_gens = [tuple(g) for g in ambient_gens]
     ambient_invs = [inverse(g) for g in ambient_gens]
-    core_gens = {tuple(s) for s in seeds}
-    while True:
-        sub = closure(core_gens)
-        extra = set()
-        for g, g_inv in zip(ambient_gens, ambient_invs):
-            for s in sub:
-                c = compose(compose(g_inv, s), g)
-                if c not in sub:
-                    extra.add(c)
-        if not extra:
-            return sub
-        core_gens |= extra
+    work = [tuple(s) for s in seeds]
+    kept: list[tuple[int, ...]] = []
+    sub = frozenset({identity(len(work[0]))})
+    while work:
+        s = work.pop()
+        if s in sub:
+            continue
+        kept.append(s)
+        sub = closure(kept)
+        work += [compose(compose(g_inv, s), g) for g, g_inv in zip(ambient_gens, ambient_invs)]
+    return sub
 
 
 def is_normal(ambient_gens, sub: frozenset[tuple[int, ...]]) -> bool:

@@ -1,8 +1,13 @@
 """Exhaustive small-size search, cross-validated by a from-scratch recount."""
 
+import random
+
+import numpy as np
 import pytest
 
+from hypermaps import _kernels
 from hypermaps.catalog import brute_oracle, fixed_point_free_involutions
+from hypermaps.catalog.oracle import _cycle_counts, _fixed_h0_spherical, _recount_fixed_h0
 
 import bruteforce as bf
 
@@ -141,3 +146,62 @@ class TestBruteOracleFull:
         assert data["ok"] is True
         assert data["violations"] == []
         assert data["class_counts"] == {str(k): v for k, v in oracle8.class_counts.items()}
+
+
+def plain_cycle_count(perm: list[int]) -> int:
+    seen = [False] * len(perm)
+    cycles = 0
+    for start in range(len(perm)):
+        if not seen[start]:
+            cycles += 1
+            x = start
+            while not seen[x]:
+                seen[x] = True
+                x = perm[x]
+    return cycles
+
+
+class TestFixedH0Recount:
+    def test_cycle_counts_match_a_plain_count(self):
+        rng = random.Random(7)
+        for n in range(1, 31):
+            # the identity, and an n-cycle: n - 1 steps are all needed
+            perms = [list(range(n)), [(x + 1) % n for x in range(n)]]
+            for _ in range(8):
+                perms.append(rng.sample(range(n), n))
+            counts = _cycle_counts(np.array(perms))
+            assert counts.tolist() == [plain_cycle_count(p) for p in perms]
+            assert counts[0] == n and counts[1] == 1
+
+    def test_array_filter_matches_reference(self):
+        kept_counts, intransitive_spheres = {}, {}
+        for n in (4, 6, 8):
+            invs = fixed_point_free_involutions(n)
+            rows = [tuple(int(v) for v in row) for row in invs]
+            standard = tuple(x ^ 1 for x in range(n))
+            expected = []
+            intransitive_spheres[n] = 0
+            for h1 in rows:
+                for h2 in rows:
+                    triple = (standard, h1, h2)
+                    if bf.triple_euler(triple) != 2:
+                        continue
+                    if len(bf.triple_orbits(triple, (0, 1, 2))) == 1:
+                        expected.append(triple)
+                    else:
+                        intransitive_spheres[n] += 1
+            kept = _fixed_h0_spherical(invs, n)
+            assert [tuple(tuple(int(v) for v in row) for row in hs) for hs in kept] == expected
+            kept_counts[n] = len(expected)
+        assert kept_counts == {4: 6, 6: 96, 8: 2688}
+        # Euler sum 2 alone lets these through; reachability must drop them
+        assert intransitive_spheres[8] == 140
+
+    def test_independent_of_the_array_scan(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the recount used the array scan")
+
+        monkeypatch.setattr(_kernels, "_orbit_labels", refuse)
+        monkeypatch.setattr(_kernels, "spherical_triples", refuse)
+        counts = {n: _recount_fixed_h0(fixed_point_free_involutions(n), n) for n in (2, 4, 6, 8)}
+        assert counts == {2: 1, 4: 3, 6: 6, 8: 20}
