@@ -9,10 +9,14 @@ Inputs are coerced to contiguous DTYPE arrays; outputs are DTYPE arrays.
   _orbit_labels -- least point of each orbit, for many generator sets at
       once; every orbit, face and parity coloring in the package.
   spherical_triples -- the transitive, Euler-characteristic-2 involution
-      triples (brute-force oracle), from orbit labels.
+      triples (brute-force oracle): orbit labels filter the m**2 triples
+      whose h0 is the standard pairing, and a table of conjugates relabels
+      them onto every other h0, so all m**3 triples are covered.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -130,25 +134,81 @@ def _orbit_labels(gens: np.ndarray, lab: np.ndarray) -> np.ndarray:
         flat = new
 
 
-def spherical_triples(invs: np.ndarray) -> np.ndarray:
-    """Ordered triples (i, j, k) of rows of invs forming a spherical hypermap.
+def _row_index(table: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Index in table (m, n) of each row of rows (..., n), both DTYPE arrays,
+    keyed by the rows' bytes.
 
-    invs: all (m, n) fixed-point-free involutions on n points. A triple is
-    kept when it acts transitively with V + E + F - n/2 == 2, where V, E, F
-    count the orbits of the generator pairs (j,k), (i,k), (i,j).
+    ValueError if table repeats a row or lacks one of rows.
+    """
+    as_bytes = np.dtype((np.void, table.shape[1] * table.itemsize))
+    index = {key: i for i, key in enumerate(np.ascontiguousarray(table).view(as_bytes).ravel().tolist())}
+    if len(index) < table.shape[0]:
+        raise ValueError("the involution table repeats a row")
+    keys = np.ascontiguousarray(rows).view(as_bytes)[..., 0]
+    try:
+        return np.array([index[key] for key in keys.ravel().tolist()]).reshape(keys.shape)
+    except KeyError:
+        raise ValueError("a relabelled involution is not in the table") from None
+
+
+def _conjugation_table(invs: np.ndarray) -> tuple[np.ndarray, int]:
+    """(conj, std): conj[i, j] is the row of pi_i invs[j] pi_i^-1, and std
+    the row of the standard pairing (0 1)(2 3)..., which pi_i conjugates to
+    invs[i]. pi_i sends 2t to a_t and 2t + 1 to invs[i][a_t], where a_t is
+    the t-th least point below its partner.
+
+    ValueError unless invs holds every fixed-point-free involution on its
+    n points exactly once.
+    """
+    m, n = invs.shape
+    if n % 2:
+        raise ValueError(f"the scan takes an even number of points, not {n}")
+    points = np.arange(n, dtype=DTYPE)
+    if not ((invs >= 0) & (invs < n) & (invs != points)).all() or not (
+        np.take_along_axis(invs, invs, axis=1) == points
+    ).all():
+        raise ValueError("a row is not a fixed-point-free involution")
+    expected = math.prod(range(n - 1, 0, -2))
+    if m != expected:
+        raise ValueError(f"{n} points have {expected} fixed-point-free involutions, not {m}")
+    a = np.nonzero(points < invs)[1].astype(DTYPE).reshape(m, n // 2)
+    pi = np.empty_like(invs)
+    pi[:, 0::2], pi[:, 1::2] = a, np.take_along_axis(invs, a, axis=1)
+    # the conjugate c of invs[j] by pi[i] has c[pi[x]] = pi[invs[j][x]]
+    moved = invs[:, np.argsort(pi, axis=1)].transpose(1, 0, 2)
+    conj = _row_index(invs, np.take_along_axis(pi[:, None, :], moved, axis=2))
+    return conj, int(_row_index(invs, points ^ 1))
+
+
+def spherical_triples(invs: np.ndarray) -> np.ndarray:
+    """Ordered triples (i, j, k) of rows of invs forming a spherical hypermap,
+    in lexicographic order.
+
+    invs: every fixed-point-free involution on n points, once each, as an
+    (m, n) array (else ValueError). A triple is kept when it acts
+    transitively with V + E + F - n/2 == 2, where V, E, F count the orbits
+    of the generator pairs (j,k), (i,k), (i,j). Only the slice whose h0 is
+    the standard pairing is filtered. Relabelling the points by pi_i (see
+    _conjugation_table) preserves transitivity and orbit counts and maps
+    that slice one-to-one onto the slice of h0 = invs[i], so the other
+    slices are read off the table of conjugates.
     """
     invs = np.ascontiguousarray(invs, dtype=DTYPE)
     m, n = invs.shape
+    conj, std = _conjugation_table(invs)
     points = np.arange(n, dtype=DTYPE)
     # labels[a, b], counts[a, b]: orbit labels and orbit count of <invs[a], invs[b]>
     pairs = np.stack(np.broadcast_arrays(invs[:, None], invs[None, :]), axis=2)
     labels = _orbit_labels(pairs, np.broadcast_to(points, (m, m, n)))
     counts = (labels == points).sum(axis=-1)
-    out = []
+    # V + E + F with V from (j,k), E from (std,k), F from (std,j)
+    jk = np.argwhere(counts + counts[std] + counts[std, :, None] == n // 2 + 2)
+    gens = np.stack(np.broadcast_arrays(invs[std], *invs[jk.T]), axis=1)
+    j, k = jk[~_orbit_labels(gens, labels[std, jk[:, 0]]).any(axis=1)].T
+    # slice i holds (i, conj[i, j], conj[i, k]), sorted by the key j' m + k'
+    wide = conj * m
+    out = np.empty((m, j.size, 3), dtype=DTYPE)
     for i in range(m):
-        # V + E + F with V from (j,k), E from (i,k), F from (i,j)
-        jk = np.argwhere(counts + counts[i] + counts[i, :, None] == n // 2 + 2)
-        gens = np.stack(np.broadcast_arrays(invs[i], *invs[jk.T]), axis=1)
-        hits = jk[~_orbit_labels(gens, labels[i, jk[:, 0]]).any(axis=1)]
-        out.append(np.column_stack([np.full(hits.shape[0], i), hits]).astype(DTYPE))
-    return np.concatenate(out).reshape(-1, 3)
+        out[i, :, 0] = i
+        out[i, :, 1], out[i, :, 2] = np.divmod(np.sort(wide[i, j] + conj[i, k]), m)
+    return out.reshape(-1, 3)

@@ -104,7 +104,7 @@ def todd_coxeter(presentation: Presentation, coset_limit: int = 1_000_000) -> Co
 
     def define(c: int, g: int) -> int:
         if len(rows) >= coset_limit:
-            raise LimitExceeded(coset_limit)
+            raise LimitExceeded("coset_limit", coset_limit)
         d = len(rows)
         rows.append([None, None, None])
         parent.append(d)

@@ -2,7 +2,8 @@
 
 Exit codes: 0 success (and all-match for verifiers), 1 usage error,
 2 verification mismatch or search counterexample, 3 invalid input
-(unparseable document, or an input violating an operation's precondition).
+(unparseable document, or an input violating an operation's precondition),
+4 an explicit budget ran out (LimitExceeded: a coset or group-order limit).
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from ..build import (
     unwalsh,
     walsh,
 )
-from ..errors import HypermapsError
+from ..errors import HypermapsError, LimitExceeded
 from ..hypermap import _SIGMA_IMAGES, Hypermap, dual, from_text, to_text
 from ..quotients import AnalysisReport, QuotientSummary, analyze
 from .oracle import brute_oracle
@@ -359,6 +360,9 @@ def main(argv: list[str] | None = None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
+    except LimitExceeded as exc:
+        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
     except HypermapsError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 3

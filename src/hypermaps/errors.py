@@ -57,15 +57,17 @@ class NotTransitive(HypermapsError):
 
 
 # ---------------------------------------------------------------------------
-# coset enumeration and builders
+# budgets, coset enumeration and builders
 
 
 class LimitExceeded(HypermapsError):
-    """Coset enumeration did not close within the coset limit."""
+    """A computation outgrew its explicit budget, named by its argument:
+    todd_coxeter's coset_limit or perm.ORDER_LIMIT."""
 
-    def __init__(self, coset_limit: int):
-        self.coset_limit = coset_limit
-        super().__init__(f"coset table did not close within {coset_limit} cosets")
+    def __init__(self, budget: str, limit: int):
+        self.budget = budget
+        self.limit = limit
+        super().__init__(f"{budget}={limit} exceeded")
 
 
 class Degenerate(HypermapsError):

@@ -6,8 +6,9 @@ so ``(a * b)(x) == b(a(x))``. Groups are stored by full element enumeration
 breadth-first closure of the identity builds them all: generate_group under
 right multiplication by the generators, in the given order, and
 normal_closure under right multiplication by the seeds and conjugation by
-the ambient generators. recognize_group names a group from the histogram
-of its element orders alone.
+the ambient generators. A closure that passes ORDER_LIMIT elements raises
+LimitExceeded. recognize_group names a group from the histogram of its
+element orders alone.
 All values are immutable after construction and every operation is a pure
 function, so concurrent use needs no coordination.
 """
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import DTYPE, _orbit_labels
-from .errors import EmptyGenerators, NotAMember, NotNormal
+from .errors import EmptyGenerators, LimitExceeded, NotAMember, NotNormal
 
 __all__ = [
     "Permutation",
@@ -33,6 +34,9 @@ __all__ = [
     "quotient_action",
     "recognize_group",
 ]
+
+# Element budget of every closure: above every group the catalog needs.
+ORDER_LIMIT = 1_000_000
 
 
 def _freeze(row: np.ndarray) -> np.ndarray:
@@ -180,7 +184,8 @@ def _closure(right: np.ndarray, conj: np.ndarray) -> tuple[np.ndarray, dict[byte
     pre = identity), each row g of conj the conjugation x -> g^-1 x g
     (post = g, pre = g^-1). Every round applies the right multiplications,
     then the conjugations, to the frontier, each block ordered by frontier
-    row, then map; new elements are numbered in that order.
+    row, then map; new elements are numbered in that order. Raises
+    LimitExceeded after the first round that passes ORDER_LIMIT elements.
     """
     degree = right.shape[1]
     ident = np.arange(degree, dtype=DTYPE)
@@ -204,6 +209,8 @@ def _closure(right: np.ndarray, conj: np.ndarray) -> tuple[np.ndarray, dict[byte
             found.append(cand[new])
         frontier = np.concatenate(found)
         blocks.append(frontier)
+        if len(index) > ORDER_LIMIT:
+            raise LimitExceeded("ORDER_LIMIT", ORDER_LIMIT)
     matrix = np.concatenate(blocks)
     matrix.setflags(write=False)
     return matrix, index
@@ -276,7 +283,8 @@ def generate_group(generators, degree: int | None = None) -> FiniteGroup:
     """Closure of the generators under composition.
 
     Element order is deterministic: breadth-first from the identity,
-    generators applied in the given order.
+    generators applied in the given order. Raises LimitExceeded once the
+    group has more than ORDER_LIMIT elements.
     """
     gen_list = [g if isinstance(g, Permutation) else Permutation(g) for g in generators]
     if not gen_list:

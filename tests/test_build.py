@@ -56,6 +56,11 @@ class TestToddCoxeter:
         with pytest.raises(LimitExceeded):
             todd_coxeter(type_relators(2, 3, 6), coset_limit=5000)
 
+    def test_limit_names_the_coset_budget(self):
+        with pytest.raises(LimitExceeded, match="coset_limit=500 exceeded") as info:
+            todd_coxeter(type_relators(2, 3, 6), coset_limit=500)
+        assert (info.value.budget, info.value.limit) == ("coset_limit", 500)
+
     def test_table_is_total_and_symmetric(self):
         table = todd_coxeter(type_relators(2, 2, 3))
         perms = table.permutations()

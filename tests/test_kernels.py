@@ -1,5 +1,6 @@
 """The hot kernels against their definitions and the naive references."""
 
+import random
 import tracemalloc
 from itertools import product
 
@@ -41,6 +42,35 @@ def random_transitive_triple(rng, n: int) -> np.ndarray:
             row[points[::2]], row[points[1::2]] = points[1::2], points[::2]
         if len(bf.triple_orbits(rows_of(hs), (0, 1, 2))) == 1:
             return hs
+
+
+def full_scan_reference(invs: np.ndarray) -> np.ndarray:
+    """The orbit-label filter run on every h0 slice, all m**3 triples: the
+    reference for the scan, which filters one slice and relabels it."""
+    invs = np.ascontiguousarray(invs, dtype=_kernels.DTYPE)
+    m, n = invs.shape
+    points = np.arange(n, dtype=_kernels.DTYPE)
+    pairs = np.stack(np.broadcast_arrays(invs[:, None], invs[None, :]), axis=2)
+    labels = _kernels._orbit_labels(pairs, np.broadcast_to(points, (m, m, n)))
+    counts = (labels == points).sum(axis=-1)
+    out = []
+    for i in range(m):
+        jk = np.argwhere(counts + counts[i] + counts[i, :, None] == n // 2 + 2)
+        gens = np.stack(np.broadcast_arrays(invs[i], *invs[jk.T]), axis=1)
+        hits = jk[~_kernels._orbit_labels(gens, labels[i, jk[:, 0]]).any(axis=1)]
+        out.append(np.column_stack([np.full(hits.shape[0], i), hits]).astype(_kernels.DTYPE))
+    return np.concatenate(out).reshape(-1, 3)
+
+
+def bruteforce_slice(invs: np.ndarray, i: int) -> list[tuple[int, int, int]]:
+    """The spherical triples (i, j, k), by bruteforce's orbits and Euler sum."""
+    rows = [tuple(int(v) for v in row) for row in invs]
+    return [
+        (i, j, k)
+        for j, k in product(range(len(rows)), repeat=2)
+        if len(bf.triple_orbits((rows[i], rows[j], rows[k]), (0, 1, 2))) == 1
+        and bf.triple_euler((rows[i], rows[j], rows[k])) == 2
+    ]
 
 
 @pytest.fixture(scope="module")
@@ -140,3 +170,71 @@ class TestSphericalTriples:
         assert got.dtype == _kernels.DTYPE
         assert len(rows) ** 2 == 11025 and len(expected) == 2688
         assert [tuple(row) for row in got[got[:, 0] == 0].tolist()] == expected
+
+    @pytest.mark.parametrize("n", [2, 4, 6, 8])
+    def test_equals_the_full_scan(self, n):
+        invs = fixed_point_free_involutions(n)
+        got, expected = _kernels.spherical_triples(invs), full_scan_reference(invs)
+        assert got.dtype == expected.dtype == _kernels.DTYPE
+        assert np.array_equal(got, expected)
+
+    def test_relabelled_eight_flag_slices_match_bruteforce(self):
+        # Slice 0 (h0 the standard pairing) is the one the scan filters;
+        # every other slice is relabelled from it.
+        invs = fixed_point_free_involutions(8)
+        assert invs[0].tolist() == [1, 0, 3, 2, 5, 4, 7, 6]
+        got = _kernels.spherical_triples(invs)
+        for i in random.Random(13).sample(range(1, 105), 2):
+            expected = bruteforce_slice(invs, i)
+            assert len(expected) == 2688
+            assert [tuple(row) for row in got[got[:, 0] == i].tolist()] == expected
+
+    def test_row_order_is_free(self):
+        invs = fixed_point_free_involutions(6)
+        shuffled = invs[np.random.default_rng(3).permutation(invs.shape[0])]
+        assert np.array_equal(_kernels.spherical_triples(shuffled), full_scan_reference(shuffled))
+
+
+class TestSphericalTriplesRefusals:
+    def test_missing_row(self):
+        with pytest.raises(ValueError, match="105 fixed-point-free involutions, not 104"):
+            _kernels.spherical_triples(fixed_point_free_involutions(8)[1:])
+
+    def test_extra_row(self):
+        invs = fixed_point_free_involutions(6)
+        with pytest.raises(ValueError, match="15 fixed-point-free involutions, not 16"):
+            _kernels.spherical_triples(np.concatenate([invs, invs[:1]]))
+
+    def test_duplicate_row(self):
+        invs = fixed_point_free_involutions(6).copy()
+        invs[7] = invs[3]
+        with pytest.raises(ValueError, match="repeats a row"):
+            _kernels.spherical_triples(invs)
+
+    @pytest.mark.parametrize(
+        "row",
+        [[0, 1, 3, 2], [1, 2, 3, 0], [1, 0, 3, 4]],
+        ids=["fixed-point", "four-cycle", "out-of-range"],
+    )
+    def test_row_that_is_not_a_fixed_point_free_involution(self, row):
+        invs = fixed_point_free_involutions(4).copy()
+        invs[2] = row
+        with pytest.raises(ValueError, match="not a fixed-point-free involution"):
+            _kernels.spherical_triples(invs)
+
+    def test_odd_point_count(self):
+        with pytest.raises(ValueError, match="not 3"):
+            _kernels.spherical_triples(np.zeros((1, 3), dtype=_kernels.DTYPE))
+
+    def test_row_missing_from_the_table_is_not_looked_up(self):
+        invs = fixed_point_free_involutions(6)
+        for gone in (0, 7, 14):
+            table = np.delete(invs, gone, axis=0)
+            with pytest.raises(ValueError, match="not in the table"):
+                _kernels._row_index(table, invs)
+        assert _kernels._row_index(invs, invs[::-1]).tolist() == list(range(14, -1, -1))
+
+    def test_row_keys_have_no_width_limit(self):
+        # 16 points: a base-n key would pass int64 (16**16 = 2**64)
+        table = np.random.default_rng(16).permuted(np.tile(np.arange(16, dtype=_kernels.DTYPE), (6, 1)), axis=1)
+        assert _kernels._row_index(table, table[[3, 0, 5, 3]]).tolist() == [3, 0, 5, 3]

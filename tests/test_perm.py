@@ -9,6 +9,7 @@ from hypermaps import (
     EmptyGenerators,
     FiniteGroup,
     GroupName,
+    LimitExceeded,
     NotAMember,
     NotNormal,
     Permutation,
@@ -19,6 +20,7 @@ from hypermaps import (
     quotient_action,
     recognize_group,
 )
+from hypermaps import perm as perm_module
 from hypermaps.build import build_platonic, pin, regular_from_type
 from hypermaps.quotients import monodromy
 
@@ -90,6 +92,16 @@ class TestGenerateGroup:
     def test_empty_generators_rejected(self):
         with pytest.raises(EmptyGenerators):
             generate_group([])
+
+    def test_order_limit_is_an_explicit_budget(self, monkeypatch):
+        # S5 has 120 elements; the budget is checked after each closure round
+        gens = [perm((0, 1), degree=5), perm((0, 1, 2, 3, 4), degree=5)]
+        monkeypatch.setattr(perm_module, "ORDER_LIMIT", 120)
+        assert generate_group(gens).order == 120
+        monkeypatch.setattr(perm_module, "ORDER_LIMIT", 119)
+        with pytest.raises(LimitExceeded, match="ORDER_LIMIT=119 exceeded") as info:
+            generate_group(gens)
+        assert (info.value.budget, info.value.limit) == ("ORDER_LIMIT", 119)
 
     def test_identity_first_and_membership(self):
         g = generate_group([perm((0, 1, 2), degree=3)])
