@@ -4,8 +4,11 @@ Covers every ordered triple of fixed-point-free involutions on n points
 (n = 2, 4, ..., max_flags): the array scan keeps the transitive spherical
 triples of the slice whose h0 is the standard pairing and relabels them onto
 every other h0. Relabelling moves any h0 to the standard one, so that slice
-meets every class. It is deduped by canonical form, and each isomorphism
-class is checked against three claims:
+meets every class. Two triples of one slice are isomorphic exactly when a
+relabelling commuting with h0 conjugates one onto the other, so the slice is
+split into orbits of the centralizer of h0 and one triple per orbit is
+deduped by canonical form. Each isomorphism class is checked against three
+claims:
 
 * spherical + uniform implies regular,
 * spherical + bipartite-uniform implies bipartite-regular,
@@ -17,15 +20,19 @@ class is checked against three claims:
 The per-class classification here is deliberately written out locally (plain
 breadth-first searches on small arrays) instead of calling the library's own
 predicates, so a defect in those would surface as a disagreement rather than
-be confirmed by itself. A second pass fixes h0 to the standard involution,
-keeps the triples with Euler sum 2 by counting cycles of the generator
-products and the transitive ones by reachability from flag 0, without the
-orbit labels of the array scan, and re-counts the classes; the counts must
-agree.
+be confirmed by itself. Two checks catch a wrong reduction. Each class meets
+the slice in one orbit of 2^(n/2) (n/2)!/|Aut| triples, with |Aut| counted
+by the local extension test, so these orbit sizes must sum to the slice's
+size (the mass formula), without any canonical code. And a second pass fixes h0 to the standard
+involution, keeps the triples with Euler sum 2 by counting cycles of the
+generator products and the transitive ones by reachability from flag 0,
+without the orbit labels of the array scan or the centralizer, canonicalizes
+every one of them and re-counts the classes; the counts must agree.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,7 +44,7 @@ from ..hypermap import Hypermap, canonical_code
 
 __all__ = ["OracleReport", "brute_oracle", "fixed_point_free_involutions"]
 
-_TRIPLE_BLOCK = 1 << 14  # triples canonicalized, or filtered, per array call
+_TRIPLE_BLOCK = 1 << 14  # (h1, h2) pairs per array call of the recount filter
 
 
 def fixed_point_free_involutions(n: int) -> np.ndarray:
@@ -199,15 +206,62 @@ class OracleReport:
         }
 
 
+def _centralizer_generators(h0: np.ndarray) -> np.ndarray:
+    """Involutions generating the centralizer Z2 wr S_{n/2} of the
+    fixed-point-free involution h0, as (n/2, n) image rows.
+
+    With pairs (a_t, b_t), a_t < b_t = h0[a_t], in order of a_t: the swap
+    (a_0 b_0), and for each t the swap (a_t a_{t+1})(b_t b_{t+1}) of
+    neighbouring pairs.
+    """
+    n = h0.size
+    points = np.arange(n, dtype=DTYPE)
+    a = np.flatnonzero(points < h0)
+    b = h0[a]
+    gens = np.tile(points, (n // 2, 1))
+    gens[0, a[0]], gens[0, b[0]] = b[0], a[0]
+    rows = np.arange(1, n // 2)
+    for left, right in ((a[:-1], a[1:]), (b[:-1], b[1:])):
+        gens[rows, left], gens[rows, right] = right, left
+    return gens
+
+
 def _classes_from_triples(invs: np.ndarray, triples: np.ndarray) -> dict[bytes, np.ndarray]:
-    """Dedupe candidate triples by canonical code; values are (3, n) arrays."""
-    firsts: dict[bytes, np.ndarray] = {}
-    for b in range(0, triples.shape[0], _TRIPLE_BLOCK):
-        block = triples[b : b + _TRIPLE_BLOCK]
-        codes, _ = _kernels.canonical_codes(invs[block])
-        for code, triple in zip(codes, block):
-            firsts.setdefault(code.tobytes(), triple)
-    return {key: invs[triple] for key, triple in firsts.items()}
+    """Dedupe candidate triples by canonical code; values are (3, n) arrays.
+
+    Keys are in order of first occurrence in triples, each mapped to
+    invs[its first triple]. Two triples with the same h0 are isomorphic
+    exactly when a relabelling that commutes with h0 conjugates one onto the
+    other. So the triples are first joined into orbits under the centralizer
+    of their h0, by the generators' conjugates of each triple that lie in the
+    input, and only the first triple of each orbit is canonicalized. An orbit
+    lies inside one class; when the input is not closed under the action its
+    orbits are finer than the classes, and the dedupe by code merges them.
+    """
+    if not triples.shape[0]:
+        return {}
+    m = invs.shape[0]
+    keys = (triples[:, 0].astype(np.int64) * m + triples[:, 1]) * m + triples[:, 2]
+    order = np.argsort(keys, kind="stable")
+    ordered = keys[order]
+    points = np.arange(triples.shape[0])
+    moves = np.tile(points, (invs.shape[1] // 2, 1))  # a triple missing its image stays put
+    for h0 in np.flatnonzero(np.bincount(triples[:, 0])):
+        gens = _centralizer_generators(invs[h0])
+        # conj[g, j] is the row of g invs[j] g, read as g[invs[j][g]]
+        moved = invs[:, gens].transpose(1, 0, 2)
+        conj = _kernels._row_index(invs, np.take_along_axis(gens[:, None], moved, axis=2))
+        at = np.flatnonzero(triples[:, 0] == h0)
+        image = (h0 * m + conj[:, triples[at, 1]]) * m + conj[:, triples[at, 2]]
+        found = np.minimum(np.searchsorted(ordered, image), ordered.size - 1)
+        hit = ordered[found] == image
+        moves[:, at] = np.where(hit, order[found], at)
+    firsts = np.flatnonzero(_kernels._orbit_labels(moves, points) == points)
+    codes, _ = _kernels.canonical_codes(invs[triples[firsts]])
+    out: dict[bytes, np.ndarray] = {}
+    for code, triple in zip(codes, triples[firsts]):
+        out.setdefault(code.tobytes(), invs[triple])
+    return out
 
 
 def _fixed_h0_spherical(invs: np.ndarray, n: int) -> np.ndarray:
@@ -269,17 +323,23 @@ def brute_oracle(max_flags: int = 8) -> OracleReport:
         triples = _kernels.spherical_triples(invs)
         spherical[n] = triples.shape[0]
         # row 0 is the standard pairing, whose slice meets every class
-        classes = classes_at[n] = _classes_from_triples(invs, triples[triples[:, 0] == 0])
+        standard = triples[triples[:, 0] == 0]
+        classes = classes_at[n] = _classes_from_triples(invs, standard)
         class_counts[n] = len(classes)
         sources = [Hypermap(n // 2, *hs) for hs in classes_at.get(n // 2, {}).values()]
         double_codes = {canonical_code(double(h)) for h in sources for double in (walsh, pin)}
         recounts[n] = _recount_fixed_h0(invs, n)
+        mass = 0
 
         for key, hs in classes.items():
             label = f"n={n} h={[list(map(int, r)) for r in hs]}"
             vsets = _local_valency_sets(hs)
             uniform = all(len(s) == 1 for s in vsets)
-            regular = all(_local_has_automorphism(hs, t) for t in range(n))
+            extends = [_local_has_automorphism(hs, t) for t in range(n)]
+            regular = all(extends)
+            # the class meets the slice in one centralizer orbit, of
+            # 2^(n/2) (n/2)!/|Aut| = n!/(m |Aut|) triples; |Aut| <= n divides n!
+            mass += math.factorial(n) // sum(extends)
             if uniform:
                 uniform_classes += 1
                 if not regular:
@@ -300,11 +360,15 @@ def brute_oracle(max_flags: int = 8) -> OracleReport:
             )
             if b_uniform:
                 bipartite_uniform_classes += 1
-                b_regular = all(_local_has_automorphism(hs, t) for t in class0)
-                if not b_regular:
+                if not all(extends[t] for t in class0):
                     violations.append(f"bipartite-uniform but not bipartite-regular: {label}")
                 if key not in double_codes:
                     violations.append(f"bipartite-uniform but not a wal/pin output: {label}")
+        if mass != invs.shape[0] * standard.shape[0]:
+            violations.append(
+                f"n={n}: mass formula: n!/|Aut| over the classes sums to {mass}, "
+                f"not to m = {invs.shape[0]} times the standard slice's {standard.shape[0]} triples"
+            )
 
     return OracleReport(
         max_flags=max_flags,

@@ -1,13 +1,20 @@
 """Exhaustive small-size search, cross-validated by a from-scratch recount."""
 
+import math
 import random
 
 import numpy as np
 import pytest
 
-from hypermaps import _kernels
-from hypermaps.catalog import brute_oracle, fixed_point_free_involutions
-from hypermaps.catalog.oracle import _cycle_counts, _fixed_h0_spherical, _recount_fixed_h0
+from hypermaps import _kernels, perm
+from hypermaps.catalog import brute_oracle, fixed_point_free_involutions, oracle
+from hypermaps.catalog.oracle import (
+    _centralizer_generators,
+    _classes_from_triples,
+    _cycle_counts,
+    _fixed_h0_spherical,
+    _recount_fixed_h0,
+)
 
 import bruteforce as bf
 
@@ -86,6 +93,20 @@ class TestBruteOracleSmall:
         assert report.spherical_triples[4] == count
         assert report.spherical_triples[2] == 1
 
+    def test_mass_formula_catches_a_lost_class(self, monkeypatch):
+        dedupe = oracle._classes_from_triples
+
+        def drop_last_class(invs, triples):
+            classes = dedupe(invs, triples)
+            if invs.shape[1] == 4:
+                classes.popitem()
+            return classes
+
+        monkeypatch.setattr(oracle, "_classes_from_triples", drop_last_class)
+        report = brute_oracle(max_flags=4)
+        assert not report.ok
+        assert [v for v in report.violations if v.startswith("n=4: mass formula")]
+
     def test_other_caps_rejected(self):
         for bad in (0, 2, 6, 10):
             with pytest.raises(ValueError):
@@ -140,6 +161,19 @@ class TestBruteOracleFull:
         assert oracle8.uniform_classes == uniform
         assert oracle8.bipartite_classes == bipartite
         assert oracle8.bipartite_uniform_classes == bip_uniform
+
+    def test_rooted_count_is_tuttes_bicubic_count(self):
+        # rooted spherical hypermaps with n = 2k flags are rooted bicubic
+        # planar maps (Tutte 1963): no canonical code is involved
+        for k in range(1, 5):
+            n = 2 * k
+            invs = fixed_point_free_involutions(n)
+            slice_size = _fixed_h0_spherical(invs, n).shape[0]
+            rooted, rest = divmod(
+                3 * 2 ** (k - 1) * math.factorial(2 * k), math.factorial(k) * math.factorial(k + 2)
+            )
+            assert (rooted, rest) == ((1, 3, 12, 56)[k - 1], 0)
+            assert slice_size * invs.shape[0] * n == rooted * math.factorial(n)
 
     def test_json_dict_shape(self, oracle8):
         data = oracle8.to_json_dict()
@@ -203,5 +237,76 @@ class TestFixedH0Recount:
 
         monkeypatch.setattr(_kernels, "_orbit_labels", refuse)
         monkeypatch.setattr(_kernels, "spherical_triples", refuse)
+        monkeypatch.setattr(oracle, "_centralizer_generators", refuse)
         counts = {n: _recount_fixed_h0(fixed_point_free_involutions(n), n) for n in (2, 4, 6, 8)}
         assert counts == {2: 1, 4: 3, 6: 6, 8: 20}
+
+
+def classes_by_every_code(invs: np.ndarray, triples: np.ndarray) -> dict[bytes, np.ndarray]:
+    """Reference dedupe: canonicalize every triple, keep the first per code."""
+    firsts: dict[bytes, np.ndarray] = {}
+    codes, _ = _kernels.canonical_codes(invs[triples])
+    for code, triple in zip(codes, triples):
+        firsts.setdefault(code.tobytes(), triple)
+    return {key: invs[triple] for key, triple in firsts.items()}
+
+
+def assert_same_classes(invs: np.ndarray, triples: np.ndarray) -> None:
+    got, want = _classes_from_triples(invs, triples), classes_by_every_code(invs, triples)
+    assert list(got) == list(want)
+    for key, hs in want.items():
+        assert np.array_equal(got[key], hs)
+
+
+class TestCentralizerOrbits:
+    def test_generators_generate_the_centralizer(self):
+        for n in (4, 6, 8):
+            k = n // 2
+            for h0 in fixed_point_free_involutions(n):
+                gens = _centralizer_generators(h0)
+                assert gens.shape == (k, n)
+                for g in gens:
+                    assert np.array_equal(g[g], np.arange(n))
+                    assert np.array_equal(g[h0], h0[g])
+                group = perm.generate_group([tuple(map(int, g)) for g in gens], n)
+                assert group.order == 2**k * math.factorial(k)
+
+    def test_matches_every_code_on_seeded_slices(self):
+        rng = random.Random(14)
+        for n in (2, 4, 6, 8):
+            invs = fixed_point_free_involutions(n)
+            triples = _kernels.spherical_triples(invs)
+            for h0 in rng.sample(range(invs.shape[0]), min(3, invs.shape[0])):
+                assert_same_classes(invs, triples[triples[:, 0] == h0])
+
+    def test_matches_every_code_on_mixed_h0(self):
+        invs = fixed_point_free_involutions(6)
+        triples = _kernels.spherical_triples(invs)
+        assert len(set(triples[:, 0].tolist())) == invs.shape[0]
+        assert_same_classes(invs, triples)
+        assert_same_classes(invs, triples[np.random.default_rng(6).permutation(triples.shape[0])])
+
+    def test_matches_every_code_on_open_subsets(self):
+        # subsets and shuffles are not closed under the centralizer, so
+        # orbits split and the dedupe by code must merge them again
+        invs = fixed_point_free_involutions(8)
+        triples = _kernels.spherical_triples(invs)
+        one_slice = triples[triples[:, 0] == 38]
+        rng = np.random.default_rng(14)
+        for size in (0, 1, 7, 60, 500, 2000, one_slice.shape[0]):
+            assert_same_classes(invs, one_slice[rng.permutation(one_slice.shape[0])[:size]])
+
+    def test_closed_slice_canonicalizes_one_triple_per_class(self, monkeypatch):
+        invs = fixed_point_free_involutions(8)
+        triples = _kernels.spherical_triples(invs)
+        sent = []
+        codes = _kernels.canonical_codes
+
+        def spy(hs):
+            sent.append(hs.shape[0])
+            return codes(hs)
+
+        monkeypatch.setattr(_kernels, "canonical_codes", spy)
+        classes = _classes_from_triples(invs, triples[triples[:, 0] == 0])
+        assert len(classes) == 20
+        assert sum(sent) == 20
