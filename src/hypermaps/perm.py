@@ -309,12 +309,19 @@ def _orbit_tuples(labels: np.ndarray) -> tuple[tuple[int, ...], ...]:
 
 
 def point_stabilizer(group: FiniteGroup, point: int) -> FiniteGroup:
-    """Subgroup {g : point * g == point}, enumerated exhaustively."""
+    """Subgroup {g : point * g == point}, enumerated exhaustively. Each generator,
+    picked in element order, lies outside the closure of those before it, so it
+    at least doubles that closure: at most log2 of the order, or the identity."""
     if not 0 <= point < group.degree:
         raise ValueError(f"point {point} out of range for degree {group.degree}")
     keep = np.nonzero(group.matrix[:, point] == point)[0]
     matrix = group.matrix[keep]
-    gens = tuple(Permutation._wrap(_freeze(row)) for row in matrix)
+    picked, reached = [], {matrix[0].tobytes()}
+    for row in matrix:
+        if row.tobytes() not in reached:
+            picked.append(row)
+            reached = _closure(np.stack(picked), matrix[:0])[1]
+    gens = tuple(Permutation._wrap(_freeze(row)) for row in picked) or (Permutation.identity(group.degree),)
     return _group_from_rows(group.degree, gens, matrix)
 
 

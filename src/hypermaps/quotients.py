@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import DTYPE
+from ._kernels import DTYPE, _row_index
 from .build import _class_arrays
 from .errors import Degenerate, NotBipartite, NotBipartiteRegular
 from .hypermap import (
@@ -94,12 +94,7 @@ def covering_core(h: Hypermap) -> Hypermap:
     evaluation and the result covers h.
     """
     group = monodromy_group(h)
-    index = group._index
-    cols = [
-        np.fromiter((index[row.tobytes()] for row in p.images[group.matrix]), DTYPE, group.order)
-        for p in h.h
-    ]
-    return Hypermap(group.order, *cols)
+    return Hypermap(group.order, *_row_index(group.matrix, h.generator_matrix()[:, group.matrix]))
 
 
 def _extension_conflicts(q: np.ndarray) -> np.ndarray:
@@ -186,11 +181,8 @@ def closure_cover(h: Hypermap) -> Hypermap:
     """
     labels = _stab_and_closure(h)
     count = int(labels.max()) + 1
-    images = []
-    for p in h.h:
-        img = np.empty(count, dtype=DTYPE)
-        img[labels] = labels[p.images]
-        images.append(img)
+    images = np.empty((3, count), dtype=DTYPE)
+    images[:, labels] = labels[h.generator_matrix()]
     trivial = [f"h{i}" for i, img in enumerate(images) if np.array_equal(img, np.arange(count))]
     if trivial:
         raise Degenerate(

@@ -3,14 +3,15 @@
 Budgets are wall-clock seconds of each criterion's own run, on the numpy
 kernels. Run with -s (or read failure output) to see the per-criterion
 lines.
+
+The verifier rows, the 8-flag oracle report and the catalog-wide law
+results are session fixtures (conftest.py) that the other modules read
+too, so each is computed once per run. Criteria 5 and 7 read the outcome
+of each law of test_properties.LAWS from law_results; run on its own,
+this module still runs every law, once.
 """
 
 from __future__ import annotations
-
-import subprocess
-import sys
-import time
-from pathlib import Path
 
 import pytest
 
@@ -22,57 +23,19 @@ from hypermaps import (
     regular_from_type,
     type_of,
 )
-from hypermaps.catalog import (
-    verify_table1,
-    verify_table2,
-    verify_table3,
-    verify_theorem_mk,
-)
 
-ROOT = Path(__file__).resolve().parent.parent
-
-
-def _timed(runner, bound):
-    start = time.perf_counter()
-    rows = runner(bound)
-    return rows, time.perf_counter() - start
-
-
-@pytest.fixture(scope="module")
-def table1():
-    return _timed(verify_table1, 6)
-
-
-@pytest.fixture(scope="module")
-def table2():
-    return _timed(verify_table2, 6)
-
-
-@pytest.fixture(scope="module")
-def table3():
-    return _timed(verify_table3, 5)
-
-
-@pytest.fixture(scope="module")
-def theorem_mk():
-    return _timed(verify_theorem_mk, 8)
-
-
-@pytest.fixture(scope="module")
-def property_suite():
-    start = time.perf_counter()
-    proc = subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "tests/test_properties.py"],
-        cwd=ROOT,
-        capture_output=True,
-        text=True,
-    )
-    return proc, time.perf_counter() - start
+from conftest import LawResults
 
 
 def _verdict(number: int, ok: bool, detail: str) -> None:
     print(f"criterion {number}: {'PASS' if ok else 'FAIL'} - {detail}")
     assert ok, f"criterion {number}: {detail}"
+
+
+def _laws_verdict(results) -> tuple[bool, str]:
+    failed = results.failed()
+    held = len(results.laws) - len(failed)
+    return not failed, f"{held} of {len(results.laws)} laws hold, failed={failed}"
 
 
 def test_criterion_1_spherical_regular_families(table1):
@@ -150,11 +113,8 @@ def test_criterion_4_one_face_map_theorem(theorem_mk):
     _verdict(4, ok, f"{len(rows)} rows, problems={problems}, {elapsed:.2f}s (budget 5s)")
 
 
-def test_criterion_5_catalog_wide_laws(property_suite):
-    proc, elapsed = property_suite
-    tail = proc.stdout.strip().splitlines()[-1] if proc.stdout.strip() else "(no output)"
-    ok = proc.returncode == 0 and "failed" not in tail
-    _verdict(5, ok, f"property run: {tail}, {elapsed:.1f}s")
+def test_criterion_5_catalog_wide_laws(law_results):
+    _verdict(5, *_laws_verdict(law_results))
 
 
 def test_criterion_6_exhaustive_small_search(oracle8_timed):
@@ -175,7 +135,7 @@ def test_criterion_6_exhaustive_small_search(oracle8_timed):
     )
 
 
-def test_criterion_7_general_classification(table2, table3, theorem_mk, property_suite, oracle8_timed):
+def test_criterion_7_general_classification(table2, table3, theorem_mk, law_results, oracle8_timed):
     """The full classification is not finitely enumerable; its acceptance
     is the conjunction of the family verifications, the catalog-wide laws,
     and the exhaustive small-size search, plus every published row being
@@ -183,7 +143,7 @@ def test_criterion_7_general_classification(table2, table3, theorem_mk, property
     t2_ok = all(r.matches for r in table2[0]) and len(table2[0]) == 64
     t3_ok = all(r.matches for r in table3[0]) and len(table3[0]) == 51
     mk_ok = all(r.matches for r in theorem_mk[0]) and len(theorem_mk[0]) == 8
-    laws_ok = property_suite[0].returncode == 0
+    laws_ok = not law_results.failed()
     search_ok = oracle8_timed[0].ok
     ok = t2_ok and t3_ok and mk_ok and laws_ok and search_ok
     _verdict(
@@ -194,3 +154,40 @@ def test_criterion_7_general_classification(table2, table3, theorem_mk, property
         f"laws {'green' if laws_ok else 'RED'}, "
         f"search {'clean' if search_ok else 'DIRTY'}",
     )
+
+
+class TestLawResults:
+    """The memo behind criteria 5 and 7, on laws made up here."""
+
+    @staticmethod
+    def broken_registry(calls):
+        def holds():
+            calls.append("holds")
+
+        def broken():
+            calls.append("broken")
+            raise AssertionError("broken on purpose")
+
+        return {"holds": holds, "broken": broken}
+
+    def test_a_law_runs_once_and_its_exception_is_kept(self):
+        calls = []
+        results = LawResults(self.broken_registry(calls))
+        first = results.outcome("broken")
+        assert isinstance(first, AssertionError)
+        assert results.outcome("broken") is first
+        assert results.failed() == ["broken"]
+        assert calls == ["broken", "holds"]
+
+    def test_check_reraises_the_stored_exception(self):
+        results = LawResults(self.broken_registry([]))
+        with pytest.raises(AssertionError, match="broken on purpose") as raised:
+            results.check("broken")
+        assert raised.value is results.outcome("broken")
+        results.check("holds")
+
+    def test_criterion_5_names_the_failed_law(self, capsys):
+        results = LawResults(self.broken_registry([]))
+        with pytest.raises(AssertionError, match="broken"):
+            _verdict(5, *_laws_verdict(results))
+        assert capsys.readouterr().out.startswith("criterion 5: FAIL - 1 of 2 laws hold, failed=['broken']")

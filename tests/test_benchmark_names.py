@@ -1,11 +1,14 @@
-"""The package names the benchmark harness binds to must exist.
+"""The names the benchmark harness binds to must exist.
 
-perfbench/tracer.py wraps the functions in LAYERS by name, and
-perfbench/worker.py empties the memo caches in CACHES at set-up. A renamed
-or deleted function would otherwise break only a traced run or the
-benchmark's set-up, neither of which the test suite runs.
+perfbench/tracer.py wraps the functions in LAYERS by name,
+perfbench/worker.py empties the memo caches in CACHES at set-up, and
+perfbench/checks.py checks the `documents` answers with references it reads
+from tests/bruteforce.py. A renamed or deleted function would otherwise
+break only a traced run, the benchmark's set-up or its checker, none of
+which the test suite runs.
 """
 
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
@@ -34,3 +37,21 @@ def test_every_benchmark_cache_can_be_cleared_and_read():
     for name, fn in worker.CACHES.items():
         assert callable(getattr(fn, "cache_clear", None)), name
         assert callable(getattr(fn, "cache_info", None)), name
+
+
+def test_every_bruteforce_reference_of_the_checker_exists():
+    checks = load("checks")
+    tree = ast.parse((PERFBENCH / "checks.py").read_text())
+    names = {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and (
+            (isinstance(node.value, ast.Name) and node.value.id == "bf")
+            or (isinstance(node.value, ast.Attribute) and node.value.attr == "bf")
+        )
+    }
+    assert names
+    bf = checks.load_bruteforce(PERFBENCH.parent)
+    for name in sorted(names):
+        assert callable(getattr(bf, name, None)), f"bf.{name}"

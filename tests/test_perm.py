@@ -146,6 +146,17 @@ class TestPointStabilizer:
         with pytest.raises(ValueError):
             point_stabilizer(g, 5)
 
+    def test_few_generators_generate_exactly_the_stabilizer(self):
+        cases = [(generate_group([perm((0, 1, 2, 3, 4), degree=5)]), 2)]
+        cases += [(generate_group(bf.dihedral_gens(n), degree=n), 0) for n in (3, 4, 5)]
+        cases += [(monodromy(pin(build_platonic(name))), 0) for name in ("T", "D")]
+        for g, point in cases:
+            stab = point_stabilizer(g, point)
+            assert np.array_equal(stab.matrix, g.matrix[g.matrix[:, point] == point])
+            assert len(stab.generators) <= max(1, np.log2(stab.order))
+            closure = generate_group(stab.generators, degree=g.degree)
+            assert {row.tobytes() for row in closure.matrix} == {row.tobytes() for row in stab.matrix}
+
 
 def _alt5_group() -> FiniteGroup:
     return generate_group([perm((0, 1, 2, 3, 4), degree=5), perm((0, 1, 2), degree=5)])

@@ -1,9 +1,15 @@
 """Structural laws quantified over the whole built catalog.
 
-Every test here walks the full catalog (63 entries) rather than
+Every law here walks the full catalog (63 entries) rather than
 hand-picked instances, collecting violations so a failure names the
 offending entries. Quotient-based checks skip entries whose monodromy
 group is too large to materialize; everything else is unconditional.
+
+Each law is a plain function in LAWS that takes its inputs (the catalog,
+the wal and pin doublings, the monodromy orders) as keyword arguments.
+The session fixture law_results (conftest.py) runs a law once, on first
+request, and keeps what it raised. The test items below re-raise that,
+and acceptance criteria 5 and 7 read the same results.
 """
 
 from __future__ import annotations
@@ -11,7 +17,6 @@ from __future__ import annotations
 from fractions import Fraction
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -53,20 +58,13 @@ MON_CAP = 20000
 DUAL_01 = (1, 0, 2)
 DUAL_12 = (0, 2, 1)
 
-
-@pytest.fixture(scope="module")
-def wal_of(catalog):
-    return {name: walsh(h) for name, h in catalog}
+LAWS = {}
 
 
-@pytest.fixture(scope="module")
-def pin_of(catalog):
-    return {name: pin(h) for name, h in catalog}
-
-
-@pytest.fixture(scope="module")
-def mon_order(catalog):
-    return {name: monodromy(h).order for name, h in catalog}
+def law(fn):
+    """Register fn in LAWS under its own name."""
+    LAWS[fn.__name__] = fn
+    return fn
 
 
 def flag_valencies(h, k):
@@ -79,260 +77,345 @@ def flag_valencies(h, k):
     return out
 
 
+@law
+def face_count_formula_everywhere(catalog, **_):
+    violations = []
+    for name, h in catalog:
+        counts = [len(k_faces(h, k)) for k in range(3)]
+        chi = euler_characteristic(h)
+        if chi != sum(counts) - h.n_flags // 2:
+            violations.append(name)
+        if chi != bf.triple_euler(bf.as_triple(h)):
+            violations.append(f"{name} (naive recount)")
+    assert violations == []
+
+
+@law
+def uniform_corollary(catalog, **_):
+    violations = []
+    seen = 0
+    for name, h in catalog:
+        if not is_uniform(h):
+            continue
+        seen += 1
+        l, m, n = type_of(h).as_tuple()
+        expected = Fraction(h.n_flags, 2) * (
+            Fraction(1, l) + Fraction(1, m) + Fraction(1, n) - 1
+        )
+        if euler_characteristic(h) != expected:
+            violations.append(name)
+    assert violations == []
+    assert seen >= 40
+
+
+@law
+def bipartite_uniform_formula(catalog, **_):
+    violations = []
+    seen = 0
+    for name, h in catalog:
+        if not is_bipartite_uniform(h):
+            continue
+        seen += 1
+        l1, l2, m, n = bipartite_type(h).as_tuple()
+        expected = Fraction(h.n_flags, 2) * (
+            Fraction(1, 2 * l1)
+            + Fraction(1, 2 * l2)
+            + Fraction(1, m)
+            + Fraction(1, n)
+            - 1
+        )
+        if euler_characteristic(h) != expected:
+            violations.append(name)
+    assert violations == []
+    assert seen >= 10
+
+
 class TestEulerFormulas:
-    def test_face_count_formula_everywhere(self, catalog):
-        violations = []
-        for name, h in catalog:
-            counts = [len(k_faces(h, k)) for k in range(3)]
-            chi = euler_characteristic(h)
-            if chi != sum(counts) - h.n_flags // 2:
-                violations.append(name)
-            if chi != bf.triple_euler(bf.as_triple(h)):
-                violations.append(f"{name} (naive recount)")
-        assert violations == []
+    def test_face_count_formula_everywhere(self, law_results):
+        law_results.check("face_count_formula_everywhere")
 
-    def test_uniform_corollary(self, catalog):
-        violations = []
-        seen = 0
-        for name, h in catalog:
-            if not is_uniform(h):
-                continue
-            seen += 1
-            l, m, n = type_of(h).as_tuple()
-            expected = Fraction(h.n_flags, 2) * (
-                Fraction(1, l) + Fraction(1, m) + Fraction(1, n) - 1
-            )
-            if euler_characteristic(h) != expected:
-                violations.append(name)
-        assert violations == []
-        assert seen >= 40
+    def test_uniform_corollary(self, law_results):
+        law_results.check("uniform_corollary")
 
-    def test_bipartite_uniform_formula(self, catalog):
-        violations = []
-        seen = 0
-        for name, h in catalog:
-            if not is_bipartite_uniform(h):
+    def test_bipartite_uniform_formula(self, law_results):
+        law_results.check("bipartite_uniform_formula")
+
+
+@law
+def divisibility_on_every_covering_found(catalog, mon_order, **_):
+    """Whenever psi covers, target valencies divide source valencies."""
+    violations = []
+    coverings = 0
+    for name, h in catalog:
+        if mon_order[name] > MON_CAP:
+            continue
+        pairs = []
+        cc = closure_cover(h)
+        pairs.append((h, cc, f"{name} -> closure cover"))
+        core = covering_core(h)
+        pairs.append((core, h, f"covering core -> {name}"))
+        for source, target, label in pairs:
+            psi = find_covering(source, target)
+            if psi is None:
+                violations.append(f"{label}: no covering found")
                 continue
-            seen += 1
-            l1, l2, m, n = bipartite_type(h).as_tuple()
-            expected = Fraction(h.n_flags, 2) * (
-                Fraction(1, 2 * l1)
-                + Fraction(1, 2 * l2)
-                + Fraction(1, m)
-                + Fraction(1, n)
-                - 1
-            )
-            if euler_characteristic(h) != expected:
-                violations.append(name)
-        assert violations == []
-        assert seen >= 10
+            coverings += 1
+            for k in range(3):
+                sv = flag_valencies(source, k)
+                tv = flag_valencies(target, k)
+                if any(sv[w] % tv[psi[w]] for w in range(source.n_flags)):
+                    violations.append(f"{label}: k={k}")
+    assert violations == []
+    assert coverings >= 120
 
 
 class TestCoveringValencies:
-    def test_divisibility_on_every_covering_found(self, catalog, mon_order):
-        """Whenever psi covers, target valencies divide source valencies."""
-        violations = []
-        coverings = 0
-        for name, h in catalog:
-            if mon_order[name] > MON_CAP:
-                continue
-            pairs = []
-            cc = closure_cover(h)
-            pairs.append((h, cc, f"{name} -> closure cover"))
-            core = covering_core(h)
-            pairs.append((core, h, f"covering core -> {name}"))
-            for source, target, label in pairs:
-                psi = find_covering(source, target)
-                if psi is None:
-                    violations.append(f"{label}: no covering found")
-                    continue
-                coverings += 1
-                for k in range(3):
-                    sv = flag_valencies(source, k)
-                    tv = flag_valencies(target, k)
-                    if any(sv[w] % tv[psi[w]] for w in range(source.n_flags)):
-                        violations.append(f"{label}: k={k}")
-        assert violations == []
-        assert coverings >= 120
+    def test_divisibility_on_every_covering_found(self, law_results):
+        law_results.check("divisibility_on_every_covering_found")
+
+
+@law
+def bipartite_entries_have_even_edge_and_face_valencies(catalog, **_):
+    violations = []
+    seen = 0
+    for name, h in catalog:
+        if theta_coloring(h, BIPARTITE) is None:
+            continue
+        seen += 1
+        for k in (1, 2):
+            sizes = [len(orbit) // 2 for orbit in k_faces(h, k)]
+            if any(v % 2 for v in sizes):
+                violations.append(f"{name}: k={k}")
+    assert violations == []
+    assert seen >= 15
 
 
 class TestEvenValencies:
-    def test_bipartite_entries_have_even_edge_and_face_valencies(self, catalog):
-        violations = []
-        seen = 0
-        for name, h in catalog:
-            if theta_coloring(h, BIPARTITE) is None:
+    def test_bipartite_entries_have_even_edge_and_face_valencies(self, law_results):
+        law_results.check("bipartite_entries_have_even_edge_and_face_valencies")
+
+
+@law
+def walsh_uniformity_equivalence_both_directions(catalog, wal_of, **_):
+    violations = []
+    uniform_seen = nonuniform_seen = 0
+    for name, h in catalog:
+        w = wal_of[name]
+        if is_uniform(h):
+            uniform_seen += 1
+            if not is_bipartite_uniform(w):
+                violations.append(f"{name}: walsh lost uniformity")
                 continue
-            seen += 1
-            for k in (1, 2):
-                sizes = [len(orbit) // 2 for orbit in k_faces(h, k)]
-                if any(v % 2 for v in sizes):
-                    violations.append(f"{name}: k={k}")
-        assert violations == []
-        assert seen >= 15
+            l, m, n = type_of(h).as_tuple()
+            expected = (min(l, m), max(l, m), 2, 2 * n)
+            if bipartite_type(w).as_tuple() != expected:
+                violations.append(f"{name}: walsh bipartite-type")
+        else:
+            nonuniform_seen += 1
+            if is_bipartite_uniform(w):
+                violations.append(f"{name}: walsh gained uniformity")
+    assert violations == []
+    assert uniform_seen >= 40 and nonuniform_seen >= 3
+
+
+@law
+def walsh_regularity_equivalence_both_directions(catalog, wal_of, mon_order, **_):
+    violations = [
+        name
+        for name, h in catalog
+        if mon_order[name] <= MON_CAP
+        and is_theta_regular(wal_of[name], BIPARTITE) != is_regular(h)
+    ]
+    assert violations == []
+
+
+@law
+def walsh_injectivity_up_to_01_duality(catalog, wal_of, **_):
+    by_code: dict[bytes, list[str]] = {}
+    entries = dict(catalog)
+    for name, _ in catalog:
+        by_code.setdefault(canonical_code(wal_of[name]), []).append(name)
+    collisions = 0
+    violations = []
+    for names in by_code.values():
+        for i in range(len(names)):
+            for j in range(i + 1, len(names)):
+                collisions += 1
+                a, b = entries[names[i]], entries[names[j]]
+                if not (are_isomorphic(a, b) or are_isomorphic(a, dual(b, DUAL_01))):
+                    violations.append(f"{names[i]} / {names[j]}")
+    assert violations == []
+    # the catalog contains 01-dual pairs, so collisions must occur
+    assert collisions >= 1
+
+
+@law
+def walsh_absorbs_01_duality(catalog, wal_of, **_):
+    violations = [
+        name
+        for name, h in catalog
+        if not are_isomorphic(walsh(dual(h, DUAL_01)), wal_of[name])
+    ]
+    assert violations == []
 
 
 class TestWalshProperties:
-    def test_uniformity_equivalence_both_directions(self, catalog, wal_of):
-        violations = []
-        uniform_seen = nonuniform_seen = 0
-        for name, h in catalog:
-            w = wal_of[name]
-            if is_uniform(h):
-                uniform_seen += 1
-                if not is_bipartite_uniform(w):
-                    violations.append(f"{name}: walsh lost uniformity")
-                    continue
-                l, m, n = type_of(h).as_tuple()
-                expected = (min(l, m), max(l, m), 2, 2 * n)
-                if bipartite_type(w).as_tuple() != expected:
-                    violations.append(f"{name}: walsh bipartite-type")
-            else:
-                nonuniform_seen += 1
-                if is_bipartite_uniform(w):
-                    violations.append(f"{name}: walsh gained uniformity")
-        assert violations == []
-        assert uniform_seen >= 40 and nonuniform_seen >= 3
+    def test_uniformity_equivalence_both_directions(self, law_results):
+        law_results.check("walsh_uniformity_equivalence_both_directions")
 
-    def test_regularity_equivalence_both_directions(self, catalog, wal_of, mon_order):
-        violations = [
-            name
-            for name, h in catalog
-            if mon_order[name] <= MON_CAP
-            and is_theta_regular(wal_of[name], BIPARTITE) != is_regular(h)
-        ]
-        assert violations == []
+    def test_regularity_equivalence_both_directions(self, law_results):
+        law_results.check("walsh_regularity_equivalence_both_directions")
 
-    def test_injectivity_up_to_01_duality(self, catalog, wal_of):
-        by_code: dict[bytes, list[str]] = {}
-        entries = dict(catalog)
-        for name, _ in catalog:
-            by_code.setdefault(canonical_code(wal_of[name]), []).append(name)
-        collisions = 0
-        violations = []
-        for names in by_code.values():
-            for i in range(len(names)):
-                for j in range(i + 1, len(names)):
-                    collisions += 1
-                    a, b = entries[names[i]], entries[names[j]]
-                    if not (are_isomorphic(a, b) or are_isomorphic(a, dual(b, DUAL_01))):
-                        violations.append(f"{names[i]} / {names[j]}")
-        assert violations == []
-        # the catalog contains 01-dual pairs, so collisions must occur
-        assert collisions >= 1
+    def test_injectivity_up_to_01_duality(self, law_results):
+        law_results.check("walsh_injectivity_up_to_01_duality")
 
-    def test_absorbs_01_duality(self, catalog, wal_of):
-        violations = [
-            name
-            for name, h in catalog
-            if not are_isomorphic(walsh(dual(h, DUAL_01)), wal_of[name])
-        ]
-        assert violations == []
+    def test_absorbs_01_duality(self, law_results):
+        law_results.check("walsh_absorbs_01_duality")
+
+
+@law
+def pin_uniformity_equivalence_both_directions(catalog, pin_of, **_):
+    violations = []
+    for name, h in catalog:
+        p = pin_of[name]
+        if is_uniform(h):
+            if not is_bipartite_uniform(p):
+                violations.append(f"{name}: pin lost uniformity")
+                continue
+            l, m, n = type_of(h).as_tuple()
+            if bipartite_type(p).as_tuple() != (1, l, 2 * m, 2 * n):
+                violations.append(f"{name}: pin bipartite-type")
+        elif is_bipartite_uniform(p):
+            violations.append(f"{name}: pin gained uniformity")
+    assert violations == []
+
+
+@law
+def pin_regularity_equivalence_both_directions(catalog, pin_of, mon_order, **_):
+    violations = [
+        name
+        for name, h in catalog
+        if mon_order[name] <= MON_CAP
+        and is_theta_regular(pin_of[name], BIPARTITE) != is_regular(h)
+    ]
+    assert violations == []
+
+
+@law
+def pin_injectivity(catalog, pin_of, **_):
+    by_code: dict[bytes, list[str]] = {}
+    entries = dict(catalog)
+    for name, _ in catalog:
+        by_code.setdefault(canonical_code(pin_of[name]), []).append(name)
+    violations = []
+    for names in by_code.values():
+        for i in range(len(names)):
+            for j in range(i + 1, len(names)):
+                if not are_isomorphic(entries[names[i]], entries[names[j]]):
+                    violations.append(f"{names[i]} / {names[j]}")
+    assert violations == []
+
+
+@law
+def pin_commutes_with_12_duality_flagwise(catalog, pin_of, **_):
+    violations = [
+        name
+        for name, h in catalog
+        if not np.array_equal(
+            pin(dual(h, DUAL_12)).generator_matrix(),
+            dual(pin_of[name], DUAL_12).generator_matrix(),
+        )
+    ]
+    assert violations == []
 
 
 class TestPinProperties:
-    def test_uniformity_equivalence_both_directions(self, catalog, pin_of):
-        violations = []
-        for name, h in catalog:
-            p = pin_of[name]
-            if is_uniform(h):
-                if not is_bipartite_uniform(p):
-                    violations.append(f"{name}: pin lost uniformity")
-                    continue
-                l, m, n = type_of(h).as_tuple()
-                if bipartite_type(p).as_tuple() != (1, l, 2 * m, 2 * n):
-                    violations.append(f"{name}: pin bipartite-type")
-            elif is_bipartite_uniform(p):
-                violations.append(f"{name}: pin gained uniformity")
-        assert violations == []
+    def test_uniformity_equivalence_both_directions(self, law_results):
+        law_results.check("pin_uniformity_equivalence_both_directions")
 
-    def test_regularity_equivalence_both_directions(self, catalog, pin_of, mon_order):
-        violations = [
-            name
-            for name, h in catalog
-            if mon_order[name] <= MON_CAP
-            and is_theta_regular(pin_of[name], BIPARTITE) != is_regular(h)
-        ]
-        assert violations == []
+    def test_regularity_equivalence_both_directions(self, law_results):
+        law_results.check("pin_regularity_equivalence_both_directions")
 
-    def test_injectivity(self, catalog, pin_of):
-        by_code: dict[bytes, list[str]] = {}
-        entries = dict(catalog)
-        for name, _ in catalog:
-            by_code.setdefault(canonical_code(pin_of[name]), []).append(name)
-        violations = []
-        for names in by_code.values():
-            for i in range(len(names)):
-                for j in range(i + 1, len(names)):
-                    if not are_isomorphic(entries[names[i]], entries[names[j]]):
-                        violations.append(f"{names[i]} / {names[j]}")
-        assert violations == []
+    def test_injectivity(self, law_results):
+        law_results.check("pin_injectivity")
 
-    def test_commutes_with_12_duality_flagwise(self, catalog, pin_of):
-        violations = [
-            name
-            for name, h in catalog
-            if not np.array_equal(
-                pin(dual(h, DUAL_12)).generator_matrix(),
-                dual(pin_of[name], DUAL_12).generator_matrix(),
-            )
-        ]
-        assert violations == []
+    def test_commutes_with_12_duality_flagwise(self, law_results):
+        law_results.check("pin_commutes_with_12_duality_flagwise")
+
+
+@law
+def monodromy_and_closure_orders_on_bipartite_regular(catalog, mon_order, **_):
+    violations = []
+    seen = 0
+    for name, h in catalog:
+        if not is_theta_regular(h, BIPARTITE):
+            continue
+        seen += 1
+        irr = irregularity(h)
+        if mon_order[name] != h.n_flags * irr.index:
+            violations.append(f"{name}: monodromy order")
+        if irr.lower_group_order != irr.index or irr.upper_group_order != irr.index:
+            violations.append(f"{name}: group orders")
+        if mon_order[name] <= 2500:
+            mon = monodromy(h)
+            stab = point_stabilizer(mon, 0)
+            nc = normal_closure(mon, list(stab.generators))
+            if nc.order != irr.index**2:
+                violations.append(f"{name}: closure order")
+    assert violations == []
+    assert seen >= 15
+
+
+@law
+def delta0_monodromy_order_for_every_doubling(catalog, wal_of, pin_of, mon_order, **_):
+    violations = []
+    for name, _ in catalog:
+        expected = mon_order[name]
+        if delta0_monodromy(wal_of[name]).order != expected:
+            violations.append(f"wal({name})")
+        if delta0_monodromy(pin_of[name]).order != expected:
+            violations.append(f"pin({name})")
+    assert violations == []
 
 
 class TestIrregularityLaws:
-    def test_monodromy_and_closure_orders_on_bipartite_regular(self, catalog, mon_order):
-        violations = []
-        seen = 0
-        for name, h in catalog:
-            if not is_theta_regular(h, BIPARTITE):
-                continue
-            seen += 1
-            irr = irregularity(h)
-            if mon_order[name] != h.n_flags * irr.index:
-                violations.append(f"{name}: monodromy order")
-            if irr.lower_group_order != irr.index or irr.upper_group_order != irr.index:
-                violations.append(f"{name}: group orders")
-            if mon_order[name] <= 2500:
-                mon = monodromy(h)
-                stab = point_stabilizer(mon, 0)
-                nc = normal_closure(mon, list(stab.generators))
-                if nc.order != irr.index**2:
-                    violations.append(f"{name}: closure order")
-        assert violations == []
-        assert seen >= 15
+    def test_monodromy_and_closure_orders_on_bipartite_regular(self, law_results):
+        law_results.check("monodromy_and_closure_orders_on_bipartite_regular")
 
-    def test_delta0_monodromy_order_for_every_doubling(self, catalog, wal_of, pin_of, mon_order):
-        violations = []
-        for name, _ in catalog:
-            expected = mon_order[name]
-            if delta0_monodromy(wal_of[name]).order != expected:
-                violations.append(f"wal({name})")
-            if delta0_monodromy(pin_of[name]).order != expected:
-                violations.append(f"pin({name})")
-        assert violations == []
+    def test_delta0_monodromy_order_for_every_doubling(self, law_results):
+        law_results.check("delta0_monodromy_order_for_every_doubling")
+
+
+@law
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def relabeling_preserves_code_and_text_round_trip(catalog, data, **_):
+    small = [h for _, h in catalog if h.n_flags <= 48]
+    h = small[data.draw(st.integers(0, len(small) - 1))]
+    images = data.draw(st.permutations(range(h.n_flags)))
+    g = relabel(h, Permutation(np.asarray(images)))
+    assert canonical_code(g) == canonical_code(h)
+    assert are_isomorphic(g, h)
+    back = from_text(to_text(g))
+    assert np.array_equal(back.generator_matrix(), g.generator_matrix())
+
+
+@law
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def duality_preserves_surface_and_inverts(catalog, data, **_):
+    small = [h for _, h in catalog if h.n_flags <= 48]
+    h = small[data.draw(st.integers(0, len(small) - 1))]
+    sigma = data.draw(st.sampled_from([(0, 1, 2), (1, 0, 2), (2, 1, 0), (0, 2, 1), (1, 2, 0), (2, 0, 1)]))
+    d = dual(h, sigma)
+    assert euler_characteristic(d) == euler_characteristic(h)
+    inverse = tuple(sigma.index(i) for i in range(3))
+    assert np.array_equal(dual(d, inverse).generator_matrix(), h.generator_matrix())
 
 
 class TestRandomizedInvariance:
-    @settings(max_examples=30, deadline=None)
-    @given(data=st.data())
-    def test_relabeling_preserves_code_and_text_round_trip(self, catalog, data):
-        small = [h for _, h in catalog if h.n_flags <= 48]
-        h = small[data.draw(st.integers(0, len(small) - 1))]
-        images = data.draw(st.permutations(range(h.n_flags)))
-        g = relabel(h, Permutation(np.asarray(images)))
-        assert canonical_code(g) == canonical_code(h)
-        assert are_isomorphic(g, h)
-        back = from_text(to_text(g))
-        assert np.array_equal(back.generator_matrix(), g.generator_matrix())
+    def test_relabeling_preserves_code_and_text_round_trip(self, law_results):
+        law_results.check("relabeling_preserves_code_and_text_round_trip")
 
-    @settings(max_examples=30, deadline=None)
-    @given(data=st.data())
-    def test_duality_preserves_surface_and_inverts(self, catalog, data):
-        small = [h for _, h in catalog if h.n_flags <= 48]
-        h = small[data.draw(st.integers(0, len(small) - 1))]
-        sigma = data.draw(st.sampled_from([(0, 1, 2), (1, 0, 2), (2, 1, 0), (0, 2, 1), (1, 2, 0), (2, 0, 1)]))
-        d = dual(h, sigma)
-        assert euler_characteristic(d) == euler_characteristic(h)
-        inverse = tuple(sigma.index(i) for i in range(3))
-        assert np.array_equal(dual(d, inverse).generator_matrix(), h.generator_matrix())
+    def test_duality_preserves_surface_and_inverts(self, law_results):
+        law_results.check("duality_preserves_surface_and_inverts")

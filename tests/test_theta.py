@@ -148,12 +148,6 @@ class TestAutomorphisms:
             assert g.element(0).is_identity()
 
 
-def irregularity_index(h) -> int:
-    from hypermaps.quotients import monodromy
-
-    return monodromy(h).order // h.n_flags
-
-
 class TestRegularity:
     def test_uniform_spherical_prisms_are_regular(self):
         for n in range(1, 7):
@@ -169,10 +163,10 @@ class TestRegularity:
         assert is_theta_regular(p, BIPARTITE)
         assert not is_regular(p)
 
-    def test_regular_iff_index_one(self, catalog):
-        for _, h in catalog:
+    def test_regular_iff_index_one(self, catalog, mon_order):
+        for name, h in catalog:
             if h.n_flags <= 240:
-                assert is_regular(h) == (irregularity_index(h) == 1)
+                assert is_regular(h) == (mon_order[name] // h.n_flags == 1)
 
     def test_theta_regular_needs_coloring(self):
         t = build_platonic("T")
