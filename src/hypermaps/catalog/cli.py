@@ -12,6 +12,7 @@ import argparse
 import functools
 import json
 import sys
+from pathlib import Path
 
 from ..build import (
     Presentation,
@@ -22,7 +23,7 @@ from ..build import (
     unwalsh,
     walsh,
 )
-from ..errors import HypermapsError, LimitExceeded
+from ..errors import HypermapsError, LimitExceeded, ParseError
 from ..hypermap import _SIGMA_IMAGES, Hypermap, dual, from_text, to_text
 from ..quotients import AnalysisReport, QuotientSummary, analyze
 from .oracle import brute_oracle
@@ -86,11 +87,10 @@ def _write_document(h: Hypermap, args) -> int:
 
 
 def _read_document(path: str) -> Hypermap:
-    if path == "-":
-        text = sys.stdin.read()
-    else:
-        with open(path) as fh:
-            text = fh.read()
+    try:
+        text = sys.stdin.read() if path == "-" else Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"document is not UTF-8 text: {exc}") from None
     return from_text(text)
 
 

@@ -231,7 +231,7 @@ def type_of(h: Hypermap) -> HypermapType:
 
 def is_uniform(h: Hypermap) -> bool:
     """True when, for each k, every k-face has the same valency."""
-    return all(np.unique(_face_valencies(h, k)[1]).size == 1 for k in range(3))
+    return all(np.ptp(_face_valencies(h, k)[1]) == 0 for k in range(3))
 
 
 # The six dualities by name, as sigma's images; the identity first.
@@ -294,52 +294,60 @@ _EXTENSION_BLOCK = 1 << 20
 
 
 def _extensions(
-    a_rows: np.ndarray, b_rows: np.ndarray, targets: np.ndarray
+    a_rows: np.ndarray, b_rows: np.ndarray, targets: np.ndarray, grow: bool = False
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """The equivariant maps a -> b sending flag 0 to each target.
 
     a_rows and b_rows are the (3, n_a) and (3, n_b) generator images. One
-    breadth-first tree of a is built per call. Yields (psi, ok) for
-    consecutive blocks of targets, in order, with at most _EXTENSION_BLOCK
-    entries in each psi (n_a, T): column t is propagated along the tree
-    from psi[0, t], the block's t-th target. It is an equivariant map,
-    psi(x h_i) = psi(x) g_i on every edge, exactly when ok[t]. Such a map
-    exists for a target if and only if that column is consistent, and then
-    it is unique.
+    breadth-first tree of a is built per call and filled level by level.
+    Yields (psi, ok) for consecutive blocks of targets, in order, with at
+    most _EXTENSION_BLOCK entries in each psi (n_a, T); with grow, for
+    callers that stop at the first hit, blocks hold 1, 4, 16, ... targets
+    up to that cap. Column t is propagated along the tree from psi[0, t],
+    the block's t-th target. It is an equivariant map, psi(x h_i) = psi(x) g_i
+    on every edge, exactly when ok[t]. Such a map exists for a target if and
+    only if that column is consistent, and then it is unique.
     """
     n_a = a_rows.shape[1]
-    tree: list[tuple[int, int, int]] = []  # (flag, parent, generator)
-    seen = np.zeros(n_a, dtype=bool)
-    seen[0] = True
-    queue = [0]
-    for x in queue:
-        for i in range(3):
-            y = int(a_rows[i, x])
-            if not seen[y]:
-                seen[y] = True
-                tree.append((y, x, i))
-                queue.append(y)
-    step = max(1, _EXTENSION_BLOCK // n_a)
-    for start in range(0, targets.shape[0], step):
+    rows = a_rows.tolist()
+    seen = [True] + [False] * (n_a - 1)
+    tree: list[int] = []  # flag, parent, generator of each edge, level by level
+    cuts, frontier = [], [0]
+    while frontier:
+        cuts.append(len(tree) // 3)
+        for x in frontier:
+            for i, row in enumerate(rows):
+                y = row[x]
+                if not seen[y]:
+                    seen[y] = True
+                    tree += (y, x, i)
+        frontier = tree[3 * cuts[-1]::3]
+    edges = np.array(tree, dtype=DTYPE).reshape(-1, 3).T
+    levels = [(edges[0, s:e], edges[1, s:e], edges[2, s:e, None]) for s, e in zip(cuts, cuts[1:])]
+    cap = max(1, _EXTENSION_BLOCK // n_a)
+    start, step = 0, 1 if grow else cap
+    while start < targets.shape[0]:
         block = targets[start:start + step]
+        start, step = start + step, min(cap, 4 * step)
         psi = np.empty((n_a, block.shape[0]), dtype=DTYPE)
         psi[0] = block
-        for y, x, i in tree:
-            psi[y] = b_rows[i][psi[x]]
+        for flags, parents, gens in levels:
+            psi[flags] = b_rows[gens, psi[parents]]
         ok = np.ones(block.shape[0], dtype=bool)
         for i in range(3):
-            ok &= np.all(psi[a_rows[i]] == b_rows[i][psi], axis=0)
+            ok &= (psi[a_rows[i]] == b_rows[i][psi]).all(axis=0)
         yield psi, ok
 
 
 def find_covering(a: Hypermap, b: Hypermap) -> tuple[int, ...] | None:
     """Generator-equivariant map psi with psi(x * h_i) = psi(x) * g_i.
 
-    Candidate images for flag 0 are scanned in increasing order; the first
-    consistent extension is returned (surjective by transitivity), else None.
+    Candidate images for flag 0 are scanned in increasing order, in blocks
+    growing from one target; the first consistent extension is returned
+    (surjective by transitivity), else None. A hit at target t costs O(n_a * t).
     """
     a_rows, b_rows = a.generator_matrix(), b.generator_matrix()
-    for psi, ok in _extensions(a_rows, b_rows, np.arange(b.n_flags, dtype=DTYPE)):
+    for psi, ok in _extensions(a_rows, b_rows, np.arange(b.n_flags, dtype=DTYPE), grow=True):
         hits = np.flatnonzero(ok)
         if hits.size:
             return tuple(int(v) for v in psi[:, hits[0]])
@@ -348,7 +356,8 @@ def find_covering(a: Hypermap, b: Hypermap) -> tuple[int, ...] | None:
 
 def are_isomorphic(a: Hypermap, b: Hypermap) -> bool:
     """Color-and-generator-preserving bijection of flags exists. A covering
-    a -> b is onto, b being transitive; with equal flag counts it is a bijection."""
+    a -> b is onto, b being transitive; with equal flag counts it is a bijection.
+    Costs O(n * t) when the first isomorphism sends flag 0 to target t."""
     return a.n_flags == b.n_flags and find_covering(a, b) is not None
 
 
@@ -382,12 +391,13 @@ def from_text(text: str) -> Hypermap:
     if not lines:
         raise ParseError("empty document")
     head = lines[0].split()
-    if len(head) != 2 or head[0] != "hypermap":
+    # int() alone also takes signs, underscores and other scripts' digits
+    if len(head) != 2 or head[0] != "hypermap" or not (head[1].isascii() and head[1].isdigit()):
         raise ParseError(f"expected 'hypermap <n_flags>', got {lines[0]!r}", line=1)
     try:
         n_flags = int(head[1])
-    except ValueError:
-        raise ParseError(f"flag count {head[1]!r} is not an integer", line=1) from None
+    except ValueError:  # more digits than int() converts
+        raise ParseError(f"flag count of {len(head[1])} digits is too long", line=1) from None
     if n_flags < 1:
         raise ParseError("flag count must be positive", line=1)
     if len(lines) != 4:
@@ -404,11 +414,14 @@ def from_text(text: str) -> Hypermap:
             raise ParseError(
                 f"h{i} has {len(fields)} images, expected {n_flags}", line=line_no
             )
+        digits = "".join(fields)
+        if not (digits.isascii() and digits.isdigit()):
+            raise ParseError(f"h{i} has an image that is not ASCII decimal digits", line=line_no)
         try:
             images = [int(f) for f in fields]
-        except ValueError:
-            raise ParseError(f"h{i} contains a non-integer image", line=line_no) from None
-        if any(v < 0 or v >= n_flags for v in images):
+        except ValueError:  # more digits than int() converts
+            raise ParseError(f"h{i} image out of range", line=line_no) from None
+        if any(v >= n_flags for v in images):
             raise ParseError(f"h{i} image out of range", line=line_no)
         try:
             perms.append(Permutation(images))

@@ -114,7 +114,8 @@ def _extension_conflicts(q: np.ndarray) -> np.ndarray:
             lhs = psi[q]  # psi(c h_i)
             rhs = q[:, psi]  # psi(c) h_i
             bad = lhs != rhs
-            pairs = np.unique(lhs[bad].astype(np.int64) * k + rhs[bad])
+            # return_index: a plain np.unique imports numpy.ma on first use
+            pairs = np.unique(lhs[bad].astype(np.int64) * k + rhs[bad], return_index=True)[0]
             return np.stack(np.divmod(pairs, k)).astype(DTYPE)
     return np.empty((2, 0), dtype=DTYPE)
 

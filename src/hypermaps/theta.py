@@ -177,9 +177,9 @@ def bipartite_type(h: Hypermap) -> BipartiteType | None:
     if colors is None:
         return None
     first, vals = _face_valencies(h, 0)
-    vertex = [np.unique(vals[colors[first] == c]) for c in (0, 1)]
-    edge, face = (np.unique(_face_valencies(h, k)[1]) for k in (1, 2))
-    if any(v.size != 1 for v in (*vertex, edge, face)):
+    vertex = [vals[colors[first] == c] for c in (0, 1)]
+    edge, face = (_face_valencies(h, k)[1] for k in (1, 2))
+    if any(np.ptp(v) for v in (*vertex, edge, face)):
         return None
     l1, l2 = sorted(int(v[0]) for v in vertex)
     return BipartiteType(l1, l2, int(edge[0]), int(face[0]))

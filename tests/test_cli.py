@@ -32,6 +32,22 @@ def run_cli(args, stdin_text=None):
     return code, out.getvalue(), err.getvalue()
 
 
+def run_module(args, stdin: bytes = b"", code: str | None = None):
+    """Run the CLI module (or the given code) in a fresh interpreter on src/,
+    with stdin decoded as strict UTF-8."""
+    env = dict(os.environ, PYTHONIOENCODING="utf-8:strict")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO_ROOT / "src"), env.get("PYTHONPATH")]))
+    argv = ["-c", code] if code else ["-m", "hypermaps.catalog.cli", *args]
+    return subprocess.run([sys.executable, *argv], input=stdin, capture_output=True, env=env)
+
+
+def assert_parse_error_exit(proc):
+    err = proc.stderr.decode()
+    assert proc.returncode == 3, err
+    assert len(err.splitlines()) == 1 and err.startswith("ParseError"), err
+    assert "Traceback" not in err
+
+
 def build_text(*args):
     code, out, err = run_cli(["build", *args])
     assert code == 0, err
@@ -220,6 +236,31 @@ class TestTransform:
 
 
 class TestAnalyze:
+    def test_non_utf8_file_is_a_parse_error(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(build_text("T").encode() + b"\xff\n")
+        assert_parse_error_exit(run_module(["analyze", "--input", str(path)]))
+
+    def test_non_utf8_stdin_is_a_parse_error(self):
+        assert_parse_error_exit(run_module(["analyze"], stdin=b"hypermap \xff\n"))
+
+    def test_analyze_and_table3_never_import_numpy_ma(self):
+        # a plain np.unique imports numpy.ma (15-18 ms) on first use
+        code = (
+            "import io, sys\n"
+            "from hypermaps.catalog.cli import main\n"
+            "from hypermaps.catalog.tables import verify_table3\n"
+            f"sys.stdin = io.StringIO({build_text('C')!r})\n"
+            "sys.stdout = io.StringIO()\n"
+            "assert main(['analyze', '--json']) == 0\n"
+            "verify_table3(2)\n"
+            "sys.stdout = sys.__stdout__\n"
+            "print('numpy.ma' in sys.modules)\n"
+        )
+        proc = run_module([], code=code)
+        assert proc.returncode == 0, proc.stderr.decode()
+        assert proc.stdout.decode().strip() == "False"
+
     def test_pin_of_cube_report(self):
         doc = build_text("C")
         _, pin_doc, _ = run_cli(["transform", "pin"], stdin_text=doc)

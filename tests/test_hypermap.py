@@ -417,6 +417,73 @@ class TestFindCovering:
         assert any(expected[0] >= max(1, 48 // a.n_flags) for a, _, expected in cases)
 
 
+def first_hit_case(b: Hypermap, t: int, seed: int) -> tuple[Hypermap, Hypermap]:
+    """Relabellings (a, b') of b such that the first target of b' to which
+    a's flag 0 extends is t: the automorphism orbit of b's flag 0 is moved to
+    labels t and up, and a is b' relabelled with flag t becoming flag 0."""
+    tb = bf.as_triple(b)
+    orbit = {y for y in range(b.n_flags) if bf.extend_morphism(tb, tb, y) is not None}
+    rest = [x for x in range(b.n_flags) if x not in orbit]
+    assert t <= len(rest)
+    order = rest[:t] + sorted(orbit) + rest[t:]  # order[label] is the flag of b
+    tau = np.empty(b.n_flags, dtype=np.int64)
+    tau[order] = np.arange(b.n_flags)
+    b2 = relabel(b, Permutation(tau))
+    sigma = np.random.default_rng(seed).permutation(b.n_flags).tolist()
+    i = sigma.index(0)
+    sigma[i], sigma[t] = sigma[t], 0
+    return relabel(b2, Permutation(sigma)), b2
+
+
+def extension_spy(monkeypatch) -> list[int]:
+    """Record the targets of each psi block that hypermap._extensions yields."""
+    from hypermaps import hypermap
+
+    blocks: list[int] = []
+    real = hypermap._extensions
+
+    def spy(*args, **kwargs):
+        for psi, ok in real(*args, **kwargs):
+            blocks.append(psi.shape[1])
+            yield psi, ok
+
+    monkeypatch.setattr(hypermap, "_extensions", spy)
+    return blocks
+
+
+class TestGrowingBlocks:
+    """find_covering scans targets in blocks of 1, 4, 16, ... targets."""
+
+    @pytest.mark.parametrize("t", [0, 1, 4, 5, 20, 21, 72])
+    def test_first_hit_in_each_growing_block_matches_reference(self, t):
+        # blocks [0], [1..4], [5..20], [21..84]: t is a block's first or last target
+        a, b = first_hit_case(build_named("wal(pin(T))"), t, seed=t)
+        ta, tb = bf.as_triple(a), bf.as_triple(b)
+        expected = next(phi for phi in (bf.extend_morphism(ta, tb, s) for s in range(b.n_flags)) if phi)
+        assert expected[0] == t
+        assert find_covering(a, b) == expected
+
+    def test_no_covering_scans_every_block(self, monkeypatch, extension_block):
+        b = build_named("wal(pin(T))")
+        other = next(d for d in six_duals(b) if not bf.isomorphism_exists(bf.as_triple(b), bf.as_triple(d)))
+        blocks = extension_spy(monkeypatch)
+        assert find_covering(other, b) is None and not are_isomorphic(other, b)
+        assert blocks == [1, 4, 16, 64, 11] * 2
+        blocks.clear()
+        extension_block(10 * b.n_flags)
+        assert find_covering(other, b) is None
+        assert blocks == [1, 4] + [10] * 9 + [1]
+
+    def test_isomorphism_computes_entries_linear_in_first_hit(self, monkeypatch):
+        b = build_named("wal(pin(D))")
+        a = relabel(b, Permutation(np.random.default_rng(1).permutation(b.n_flags)))
+        t = find_covering(b, a)[0]  # 7, in the third block
+        blocks = extension_spy(monkeypatch)
+        assert are_isomorphic(b, a)
+        # the whole scan, one block of every target, is n_a * n_b = 230,400 entries
+        assert sum(blocks) * b.n_flags <= b.n_flags * (4 * t + 1) < b.n_flags**2
+
+
 class TestMonodromy:
     def test_order_matches_naive_closure(self):
         h = build_Pn(2)
@@ -462,6 +529,26 @@ class TestSerialization:
 
         with pytest.raises(ParseError):
             from_text("not a document")
+
+    @pytest.mark.parametrize(
+        "header, h0, line",
+        [
+            ("hypermap 4", "+1 0 3 2", 2),
+            ("hypermap 4", "1 0_0 3 2", 2),
+            ("hypermap 4", "\u0661 0 3 2", 2),  # ARABIC-INDIC DIGIT ONE
+            ("hypermap 4", "1 -1 3 2", 2),
+            ("hypermap +4", "1 0 3 2", 1),
+        ],
+    )
+    def test_only_ascii_decimal_digits(self, header, h0, line):
+        # int() takes each of these; the format takes what to_text writes
+        from hypermaps import ParseError
+
+        good = "1 0 3 2"
+        assert from_text(f"hypermap 4\nh0: {good}\nh1: {good}\nh2: 2 3 0 1\n").n_flags == 4
+        with pytest.raises(ParseError) as exc:
+            from_text(f"{header}\nh0: {h0}\nh1: {good}\nh2: 2 3 0 1\n")
+        assert exc.value.line == line
 
 
 class TestPublicNames:
