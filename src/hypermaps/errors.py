@@ -62,7 +62,7 @@ class NotTransitive(HypermapsError):
 
 class LimitExceeded(HypermapsError):
     """A computation outgrew its explicit budget, named by its argument:
-    todd_coxeter's coset_limit or perm.ORDER_LIMIT."""
+    todd_coxeter's coset_limit, perm.ORDER_LIMIT or perm.BYTE_LIMIT."""
 
     def __init__(self, budget: str, limit: int):
         self.budget = budget

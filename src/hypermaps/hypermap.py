@@ -6,16 +6,18 @@ k=0, hyperedges for k=1, hyperfaces for k=2) are the orbits of the two
 generators other than h_k; a face's valency is half its orbit size. The
 base flag is index 0 everywhere a distinguished flag is needed.
 
-Values are immutable and hashable, and label their k-faces (when checked
-for transitivity) and their walk parities (on first use) once. The monodromy
-group is memoized for the four most recently used hypermaps only, since one
-group can hold hundreds of megabytes.
+Values are immutable and hashable. They label their k-faces once, when
+checked for transitivity, and keep their face valencies, walk parities and
+parity colorings, read-only, from first use. The monodromy group is
+memoized for the four most recently used hypermaps only, since one group
+can hold hundreds of megabytes.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import re
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -24,7 +26,7 @@ import numpy as np
 from . import _kernels
 from ._kernels import DTYPE, _orbit_labels
 from .errors import HasFixedPoint, NotInvolution, NotTransitive, ParseError
-from .perm import FiniteGroup, Permutation, _orbit_tuples, generate_group
+from .perm import FiniteGroup, Permutation, _freeze, _orbit_tuples, generate_group
 
 __all__ = [
     "Hypermap",
@@ -100,7 +102,7 @@ class Hypermap:
     use validate() to turn raw data into typed violation errors.
     """
 
-    __slots__ = ("n_flags", "h", "_hash", "_faces", "_walks")
+    __slots__ = ("n_flags", "h", "_hash", "_faces", "_walks", "_valencies", "_colorings")
 
     def __init__(self, n_flags: int, h0, h1, h2):
         perms = tuple(p if isinstance(p, Permutation) else Permutation(p) for p in (h0, h1, h2))
@@ -118,11 +120,17 @@ class Hypermap:
         if labels[3].any():
             raise NotTransitive(int(np.count_nonzero(labels[3] == points)))
         labels.setflags(write=False)
+        self._fill(n_flags, perms, labels[:3])
+
+    def _fill(self, n_flags: int, perms: tuple[Permutation, ...], faces: np.ndarray) -> None:
+        """Set the slots from checked data; faces holds the k-face labels."""
         object.__setattr__(self, "n_flags", n_flags)
         object.__setattr__(self, "h", perms)
         object.__setattr__(self, "_hash", None)
-        object.__setattr__(self, "_faces", dict(enumerate(labels[:3])))
+        object.__setattr__(self, "_faces", dict(enumerate(faces)))
         object.__setattr__(self, "_walks", None)
+        object.__setattr__(self, "_valencies", {})
+        object.__setattr__(self, "_colorings", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("Hypermap is immutable")
@@ -168,10 +176,14 @@ _LABEL_STACKS = np.array([[1, 2, 2], [0, 2, 2], [0, 1, 1], [0, 1, 2]])
 
 
 def _face_valencies(h: Hypermap, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """(first, valency): each k-face's least flag, increasing, and half its size."""
-    labels = h._faces[k]
-    first = np.flatnonzero(labels == np.arange(h.n_flags))
-    return first, np.bincount(labels)[first] // 2
+    """(first, valency): each k-face's least flag, increasing, and half its
+    size; kept on h, read-only, from the first call."""
+    kept = h._valencies.get(k)
+    if kept is None:
+        labels = h._faces[k]
+        first = np.flatnonzero(labels == np.arange(h.n_flags))
+        kept = h._valencies[k] = (_freeze(first), _freeze(np.bincount(labels)[first] // 2))
+    return kept
 
 
 def k_faces(h: Hypermap, k: int) -> tuple[tuple[int, ...], ...]:
@@ -210,12 +222,14 @@ def _walk_parities(h: Hypermap) -> tuple[np.ndarray, np.ndarray]:
 
 def _parity_coloring(h: Hypermap, eps: tuple[int, int, int]) -> np.ndarray | None:
     """2-coloring from flag 0 where h_i flips the color iff eps[i] is 1: the
-    eps-weighted walk parity, defined iff all closed walks at 0 weigh even."""
-    closed, walk = _walk_parities(h)
-    weight = eps[0] | eps[1] << 1 | eps[2] << 2
-    if _BIT_PARITY[closed & weight].any():
-        return None
-    return _BIT_PARITY[walk & weight]
+    eps-weighted walk parity, defined iff all closed walks at 0 weigh even.
+    Kept on h, read-only, from the first call."""
+    if eps not in h._colorings:
+        closed, walk = _walk_parities(h)
+        weight = eps[0] | eps[1] << 1 | eps[2] << 2
+        odd = _BIT_PARITY[closed & weight].any()
+        h._colorings[eps] = None if odd else _freeze(_BIT_PARITY[walk & weight])
+    return h._colorings[eps]
 
 
 def surface_class(h: Hypermap) -> SurfaceClass:
@@ -261,14 +275,28 @@ def dual(h: Hypermap, sigma: tuple[int, int, int]) -> Hypermap:
 
 
 def relabel(h: Hypermap, sigma: Permutation) -> Hypermap:
-    """Rename flags by sigma (old flag x becomes sigma(x))."""
-    if sigma.degree != h.n_flags:
+    """Rename flags by sigma (old flag x becomes sigma(x)).
+
+    A relabelling of a valid hypermap is valid, so nothing is checked again,
+    and h's k-faces carry across: each is labelled by its least new flag.
+    """
+    n = h.n_flags
+    if sigma.degree != n:
         raise ValueError("relabeling degree mismatch")
     s = sigma.images
     inv = np.empty_like(s)
-    inv[s] = np.arange(h.n_flags, dtype=DTYPE)
-    new = [s[p.images[inv]] for p in h.h]
-    return Hypermap(h.n_flags, *new)
+    inv[s] = np.arange(n, dtype=DTYPE)
+    perms = tuple(Permutation._wrap(_freeze(s[p.images[inv]])) for p in h.h)
+    # position k * n + label of each old flag's k-face, and its least new flag
+    at = np.stack([h._faces[k] for k in range(3)]) + np.arange(0, 3 * n, n, dtype=DTYPE)[:, None]
+    least = np.full(3 * n, n, dtype=DTYPE)
+    np.minimum.at(least, at.reshape(-1), np.tile(s, 3))
+    faces = np.empty((3, n), dtype=DTYPE)
+    faces[:, s] = least[at]
+    faces.setflags(write=False)
+    out = object.__new__(Hypermap)
+    out._fill(n, perms, faces)
+    return out
 
 
 @functools.lru_cache(maxsize=64)
@@ -306,7 +334,9 @@ def _extensions(
     up to that cap. Column t is propagated along the tree from psi[0, t],
     the block's t-th target. It is an equivariant map, psi(x h_i) = psi(x) g_i
     on every edge, exactly when ok[t]. Such a map exists for a target if and
-    only if that column is consistent, and then it is unique.
+    only if that column is consistent, and then it is unique. The tree edges
+    hold by construction, both ways since g_i is an involution, so ok tests
+    only the n_a + 2 other pairs (x, i).
     """
     n_a = a_rows.shape[1]
     rows = a_rows.tolist()
@@ -324,6 +354,10 @@ def _extensions(
         frontier = tree[3 * cuts[-1]::3]
     edges = np.array(tree, dtype=DTYPE).reshape(-1, 3).T
     levels = [(edges[0, s:e], edges[1, s:e], edges[2, s:e, None]) for s, e in zip(cuts, cuts[1:])]
+    off_tree = np.ones((3, n_a), dtype=bool)
+    off_tree[edges[2], edges[0]] = off_tree[edges[2], edges[1]] = False
+    off_gens, xs = np.nonzero(off_tree)
+    ys, off_gens = a_rows[off_gens, xs], off_gens[:, None]
     cap = max(1, _EXTENSION_BLOCK // n_a)
     start, step = 0, 1 if grow else cap
     while start < targets.shape[0]:
@@ -333,10 +367,7 @@ def _extensions(
         psi[0] = block
         for flags, parents, gens in levels:
             psi[flags] = b_rows[gens, psi[parents]]
-        ok = np.ones(block.shape[0], dtype=bool)
-        for i in range(3):
-            ok &= (psi[a_rows[i]] == b_rows[i][psi]).all(axis=0)
-        yield psi, ok
+        yield psi, (psi[ys] == b_rows[off_gens, psi[xs]]).all(axis=0)
 
 
 def find_covering(a: Hypermap, b: Hypermap) -> tuple[int, ...] | None:
@@ -386,8 +417,21 @@ def to_text(h: Hypermap) -> str:
     return "\n".join(lines) + "\n"
 
 
+# Whitespace and control characters other than the separators: line feed,
+# one carriage return before it, space and tab.
+_FOREIGN_SEPARATOR = re.compile(r"\r(?!\n)|(?![ \t\n\r])[\s\x00-\x1f\x7f-\x9f]")
+
+
 def from_text(text: str) -> Hypermap:
-    lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
+    """Parse a document. Lines end at a line feed, which one carriage return
+    may precede, and fields are separated by spaces and tabs; any other
+    whitespace or control character is a ParseError naming its line."""
+    foreign = _FOREIGN_SEPARATOR.search(text)
+    if foreign:
+        line = text.count("\n", 0, foreign.start()) + 1
+        raise ParseError(f"character U+{ord(foreign.group()):04X} is not a separator", line=line)
+    # with no other whitespace left, strip() and split() see only the separators
+    lines = [ln for ln in (raw.strip() for raw in text.split("\n")) if ln]
     if not lines:
         raise ParseError("empty document")
     head = lines[0].split()

@@ -6,7 +6,8 @@ so ``(a * b)(x) == b(a(x))``. Groups are stored by full element enumeration
 breadth-first closure of the identity builds them all: generate_group under
 right multiplication by the generators, in the given order, and
 normal_closure under right multiplication by the seeds and conjugation by
-the ambient generators. A closure that passes ORDER_LIMIT elements raises
+the ambient generators. A closure that passes ORDER_LIMIT elements, or
+whose next round would hold more than BYTE_LIMIT bytes of elements, raises
 LimitExceeded. recognize_group names a group from the histogram of its
 element orders alone.
 All values are immutable after construction and every operation is a pure
@@ -37,6 +38,9 @@ __all__ = [
 
 # Element budget of every closure: above every group the catalog needs.
 ORDER_LIMIT = 1_000_000
+# Byte budget of one closure round: the elements kept plus the candidates it
+# gathers. The catalog's largest round (Mon of wal(pin(T))) needs 177 MB.
+BYTE_LIMIT = 1 << 28
 
 
 def _freeze(row: np.ndarray) -> np.ndarray:
@@ -185,7 +189,8 @@ def _closure(right: np.ndarray, conj: np.ndarray) -> tuple[np.ndarray, dict[byte
     (post = g, pre = g^-1). Every round applies the right multiplications,
     then the conjugations, to the frontier, each block ordered by frontier
     row, then map; new elements are numbered in that order. Raises
-    LimitExceeded after the first round that passes ORDER_LIMIT elements.
+    LimitExceeded after the first round that passes ORDER_LIMIT elements,
+    and before a round whose kept and gathered elements pass BYTE_LIMIT.
     """
     degree = right.shape[1]
     ident = np.arange(degree, dtype=DTYPE)
@@ -196,7 +201,10 @@ def _closure(right: np.ndarray, conj: np.ndarray) -> tuple[np.ndarray, dict[byte
     conj_inv = np.argsort(conj, axis=1)  # a permutation's argsort is its inverse
     right_k = np.arange(right.shape[0])[:, None]
     conj_k = np.arange(conj.shape[0])[:, None]
+    row_bytes = degree * ident.itemsize
     while frontier.shape[0]:
+        if (len(index) + frontier.shape[0] * (right.shape[0] + conj.shape[0])) * row_bytes > BYTE_LIMIT:
+            raise LimitExceeded("BYTE_LIMIT", BYTE_LIMIT)
         found = []
         for cand in (right[right_k, frontier[:, None, :]], conj[conj_k, frontier[:, conj_inv]]):
             # the conjugation gather can come back in a non-C layout, which .view rejects

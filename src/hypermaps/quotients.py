@@ -14,7 +14,9 @@ For a hypermap with monodromy group G acting on the flags:
   coset-coincidence union-find of coset enumeration (Holt, Eick &
   O'Brien, Handbook of Computational Group Theory, 2005, ch. 5). When a
   generator acts trivially on them the quotient is no hypermap and
-  closure_cover() raises Degenerate;
+  closure_cover() raises Degenerate. analyze() derives its flags, type
+  and genus from the generators' action on the classes, without building
+  it;
 * the irregularity index is |G| / |flags| (1 exactly for regular maps),
   and for bipartite-regular hypermaps the flag stabilizer itself is a
   group Upsilon whose isomorphism type refines the index. |G| and
@@ -33,13 +35,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import DTYPE, _row_index
+from ._kernels import DTYPE, _orbit_labels, _row_index
 from .build import _class_arrays
 from .errors import Degenerate, NotBipartite, NotBipartiteRegular
 from .hypermap import (
     Hypermap,
     HypermapType,
     SurfaceClass,
+    _LABEL_STACKS,
     _extensions,
     _parity_coloring,
     euler_characteristic,
@@ -97,18 +100,17 @@ def covering_core(h: Hypermap) -> Hypermap:
     return Hypermap(group.order, *_row_index(group.matrix, h.generator_matrix()[:, group.matrix]))
 
 
-def _extension_conflicts(q: np.ndarray) -> np.ndarray:
+def _extension_conflicts(q: np.ndarray, targets: np.ndarray) -> np.ndarray:
     """Class pairs that every regular quotient of q must identify.
 
     q is the (3, k) action of the generators on k classes. For each target
     class x, the equivariant map sending class 0 to x is propagated over
     the classes; an edge whose two ends disagree yields a pair. Returns the
     pairs of the first block of targets yielded by _extensions that has
-    any, as a (2, p) array; (2, 0) when every extension is consistent, that
-    is when the quotient is regular.
+    any, as a (2, p) array; (2, 0) when every extension is consistent.
     """
     k = q.shape[1]
-    for psi, ok in _extensions(q, q, np.arange(k, dtype=DTYPE)):
+    for psi, ok in _extensions(q, q, targets):
         if not ok.all():
             psi = psi[:, ~ok]
             lhs = psi[q]  # psi(c h_i)
@@ -157,19 +159,31 @@ def _stab_and_closure(h: Hypermap) -> np.ndarray:
     class 0 -> x is merged, then the partition is closed under h0, h1, h2,
     until every extension is consistent. Each merge is forced, because a
     regular quotient has an automorphism sending class 0 to any class; so
-    the fixpoint is the largest regular quotient.
+    the fixpoint is the largest regular quotient. On the discrete partition
+    only the flags _stab_matched_flags leaves unmatched can conflict, so
+    a regular h is its own closure cover.
     """
     rows = h.generator_matrix()
     labels = np.arange(h.n_flags, dtype=DTYPE)
-    while True:
+    targets = np.flatnonzero(~_stab_matched_flags(h)).astype(DTYPE)
+    while targets.size:
         _, reps = np.unique(labels, return_index=True)
         q = labels[rows[:, reps]]
-        pairs = _extension_conflicts(q)
+        pairs = _extension_conflicts(q, targets)
         if not pairs.size:
-            labels.setflags(write=False)
-            return labels
+            break
         # roots are the least merged class, so their order is first appearance
         labels = np.unique(_merge(q, pairs)[labels], return_inverse=True)[1].astype(DTYPE)
+        targets = np.arange(int(labels.max()) + 1, dtype=DTYPE)
+    labels.setflags(write=False)
+    return labels
+
+
+def _closure_action(h: Hypermap, labels: np.ndarray) -> np.ndarray:
+    """(3, k) action of h0, h1, h2 on the k closure-cover classes labels."""
+    q = np.empty((3, int(labels.max()) + 1), dtype=DTYPE)
+    q[:, labels] = labels[h.generator_matrix()]
+    return q
 
 
 def closure_cover(h: Hypermap) -> Hypermap:
@@ -180,10 +194,8 @@ def closure_cover(h: Hypermap) -> Hypermap:
     quotient is no hypermap (for example when Mon is the full symmetric
     group and there is one class).
     """
-    labels = _stab_and_closure(h)
-    count = int(labels.max()) + 1
-    images = np.empty((3, count), dtype=DTYPE)
-    images[:, labels] = labels[h.generator_matrix()]
+    images = _closure_action(h, _stab_and_closure(h))
+    count = images.shape[1]
     trivial = [f"h{i}" for i, img in enumerate(images) if np.array_equal(img, np.arange(count))]
     if trivial:
         raise Degenerate(
@@ -277,11 +289,30 @@ def core_summary(h: Hypermap) -> QuotientSummary:
 
 
 def _closure_summary(h: Hypermap) -> QuotientSummary | None:
-    try:
-        cc = closure_cover(h)
-    except Degenerate:
+    """Flags, type and genus of closure_cover(h), without building it; None
+    where closure_cover raises Degenerate.
+
+    The cover is regular, so a generator that fixes a class is the identity
+    on the classes, and all its k-faces have the same valency: the class
+    count over twice their number. It is orientable exactly when h is: its
+    orientation coloring lifts to h; and when h has one, the flag-0
+    stabilizer is made of even words, so its normal closure is too, and the
+    coloring is constant on every class and descends to the cover.
+    """
+    q = _closure_action(h, _stab_and_closure(h))
+    count = q.shape[1]
+    points = np.arange(count, dtype=DTYPE)
+    if (q == points).all(axis=1).any():
         return None
-    return QuotientSummary(flags=cc.n_flags, type=type_of(cc), genus=surface_class(cc).genus)
+    faces = _orbit_labels(q[_LABEL_STACKS[:3]], np.broadcast_to(points, (3, count)))
+    face_counts = np.count_nonzero(faces == points, axis=1).tolist()
+    chi = sum(face_counts) - count // 2
+    orientable = _parity_coloring(h, (1, 1, 1)) is not None
+    return QuotientSummary(
+        flags=count,
+        type=HypermapType(*(count // (2 * f) for f in face_counts)),
+        genus=SurfaceClass.from_characteristic(chi, orientable).genus,
+    )
 
 
 @dataclass(frozen=True)

@@ -244,6 +244,22 @@ class TestAnalyze:
     def test_non_utf8_stdin_is_a_parse_error(self):
         assert_parse_error_exit(run_module(["analyze"], stdin=b"hypermap \xff\n"))
 
+    @pytest.mark.parametrize(
+        "old, new, line",
+        [(" ", "\u3000", 1), ("\n", "\u2028", 1), ("\n", "\x1c", 1)],
+    )
+    def test_foreign_separator_is_a_parse_error(self, old, new, line):
+        doc = build_text("T").replace(old, new)
+        proc = run_module(["analyze"], stdin=doc.encode())
+        assert_parse_error_exit(proc)
+        assert proc.stderr.decode().startswith(f"ParseError: line {line}: character U+{ord(new):04X}")
+
+    def test_crlf_document_is_analyzed(self):
+        doc = build_text("T")
+        assert run_cli(["analyze", "--json"], stdin_text=doc.replace("\n", "\r\n")) == run_cli(
+            ["analyze", "--json"], stdin_text=doc
+        )
+
     def test_analyze_and_table3_never_import_numpy_ma(self):
         # a plain np.unique imports numpy.ma (15-18 ms) on first use
         code = (

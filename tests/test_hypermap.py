@@ -44,7 +44,7 @@ from hypermaps.build import (
     walsh,
 )
 from hypermaps.catalog import build_named, verify_table2, verify_table3, verify_theorem_mk
-from hypermaps.hypermap import _canonical, monodromy_group
+from hypermaps.hypermap import _canonical, _face_valencies, _parity_coloring, monodromy_group
 from hypermaps.perm import orbits
 from hypermaps.theta import _stab_matched_flags
 from hypermaps.quotients import closure_cover, covering_core, monodromy
@@ -136,6 +136,48 @@ class TestKFaces:
     def test_bad_k_rejected(self):
         with pytest.raises(Exception):
             k_faces(build_Dn(2), 3)
+
+    def test_relabel_carries_the_faces(self, catalog):
+        # each k-face keeps its flags, renamed, and its least new flag as label
+        rng = np.random.default_rng(7)
+        for _, h in catalog[::4]:
+            moved = relabel(h, Permutation(rng.permutation(h.n_flags)))
+            fresh = validate(moved.n_flags, *moved.h)
+            for k in range(3):
+                assert k_faces(moved, k) == k_faces(fresh, k)
+
+
+class TestKeptData:
+    """Face valencies and parity colorings are computed once per hypermap, on
+    first use, and handed out read-only."""
+
+    def test_constructor_keeps_nothing_yet(self):
+        h = from_text(to_text(build_named("pin(T)")))
+        assert h._valencies == {} and h._colorings == {}
+
+    def test_valencies_are_kept_read_only(self):
+        h = from_text(to_text(build_named("pin(T)")))
+        for k in range(3):
+            first, vals = _face_valencies(h, k)
+            assert _face_valencies(h, k)[0] is first and _face_valencies(h, k)[1] is vals
+            for array in (first, vals):
+                with pytest.raises(ValueError):
+                    array[0] = 0
+        assert valencies(h, 0) == tuple(_face_valencies(h, 0)[1].tolist())
+
+    def test_colorings_are_kept_read_only(self):
+        h = from_text(to_text(build_named("pin(T)")))
+        kept = 0
+        for eps in itertools.product((0, 1), repeat=3):
+            if eps == (0, 0, 0):
+                continue
+            colors = _parity_coloring(h, eps)
+            assert _parity_coloring(h, eps) is colors
+            if colors is not None:
+                kept += 1
+                with pytest.raises(ValueError):
+                    colors[0] = 1
+        assert kept >= 2  # pin(T) is bipartite and orientable
 
 
 class TestEulerCharacteristic:
@@ -529,6 +571,34 @@ class TestSerialization:
 
         with pytest.raises(ParseError):
             from_text("not a document")
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("hypermap 4\nh0: 1\u30000 3 2\nh1: 1 0 3 2\nh2: 2 3 0 1\n", 2),  # IDEOGRAPHIC SPACE
+            ("hypermap 4\nh0: 1 0 3 2\nh1: 1\xa00 3 2\nh2: 2 3 0 1\n", 3),  # NO-BREAK SPACE
+            ("hypermap 4\x1ch0: 1 0 3 2\x1ch1: 1 0 3 2\x1ch2: 2 3 0 1\n", 1),
+            ("hypermap 4\x1dh0: 1 0 3 2\x1dh1: 1 0 3 2\x1dh2: 2 3 0 1\n", 1),
+            ("hypermap 4\u2028h0: 1 0 3 2\u2028h1: 1 0 3 2\u2028h2: 2 3 0 1\n", 1),
+            ("hypermap 4\rh0: 1 0 3 2\rh1: 1 0 3 2\rh2: 2 3 0 1\r", 1),
+            ("hypermap 4\nh0: 1 0 3 2\nh1: 1 0 3 2\x0b\nh2: 2 3 0 1\n", 3),
+            ("hypermap 4\nh0: 1 0 3 2\nh1: 1 0 3 2\nh2: 2 3 0 1\r\r\n", 4),
+            ("\nhypermap 4\nh0: 1 0 3 2\nh1: 1 0 3 2\nh2: 2 3 0 1\x85\n", 5),
+        ],
+    )
+    def test_only_space_and_tab_separate_fields(self, text, line):
+        # str.split() and str.splitlines() take these; the format does not
+        from hypermaps import ParseError
+
+        with pytest.raises(ParseError, match="is not a separator") as exc:
+            from_text(text)
+        assert exc.value.line == line
+
+    def test_crlf_and_tabs_parse(self):
+        h = build_Dn(2)
+        text = to_text(h)
+        assert from_text(text.replace("\n", "\r\n")) == h
+        assert from_text(text.replace(" ", "\t").replace("\n", " \t\n\n")) == h
 
     @pytest.mark.parametrize(
         "header, h0, line",

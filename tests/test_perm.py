@@ -103,6 +103,17 @@ class TestGenerateGroup:
             generate_group(gens)
         assert (info.value.budget, info.value.limit) == ("ORDER_LIMIT", 119)
 
+    def test_byte_limit_is_checked_before_a_round(self, monkeypatch):
+        # S5 on 5 points, 20 bytes an element: its largest round keeps 107
+        # elements and gathers 2 x 19 candidates, (107 + 38) x 20 = 2,900 bytes
+        gens = [perm((0, 1), degree=5), perm((0, 1, 2, 3, 4), degree=5)]
+        monkeypatch.setattr(perm_module, "BYTE_LIMIT", 2900)
+        assert generate_group(gens).order == 120
+        monkeypatch.setattr(perm_module, "BYTE_LIMIT", 2899)
+        with pytest.raises(LimitExceeded, match="BYTE_LIMIT=2899 exceeded") as info:
+            generate_group(gens)
+        assert (info.value.budget, info.value.limit) == ("BYTE_LIMIT", 2899)
+
     def test_identity_first_and_membership(self):
         g = generate_group([perm((0, 1, 2), degree=3)])
         assert g.element(0).is_identity()

@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -35,12 +36,18 @@ from hypermaps import (
     type_of,
     validate,
 )
+from hypermaps import hypermap, quotients, theta, to_text
+from hypermaps._kernels import DTYPE
 from hypermaps.build import build_Dn, build_Mk, build_platonic, build_Pn, pin, walsh
 from hypermaps.catalog import build_named, verify_table3, verify_theorem_mk
 from hypermaps.catalog.oracle import fixed_point_free_involutions
-from hypermaps.hypermap import monodromy_group
+from hypermaps.hypermap import _extensions, monodromy_group
 from hypermaps.quotients import (
     QuotientSummary,
+    _closure_action,
+    _closure_summary,
+    _merge,
+    _stab_and_closure,
     analyze,
     closure_cover,
     core_summary,
@@ -126,6 +133,36 @@ def doubled_triples(draw):
         assume(False)
     double = draw(st.sampled_from((None, walsh, pin)))
     return h if double is None else double(h)
+
+
+@st.composite
+def random_hypermaps(draw):
+    """A transitive triple of fixed-point-free involutions on 2 to 16 flags,
+    each pairing consecutive points of a random ordering."""
+    n = draw(st.sampled_from(range(2, 17, 2)))
+    rows = []
+    for _ in range(3):
+        order = draw(st.permutations(range(n)))
+        img = [0] * n
+        for a, b in zip(order[::2], order[1::2]):
+            img[a], img[b] = b, a
+        rows.append(img)
+    try:
+        return validate(n, *rows)
+    except NotTransitive:
+        assume(False)
+
+
+@st.composite
+def quotient_actions(draw):
+    """A random hypermap's generator images and their action on the classes
+    of the congruence that a few random flag pairs generate; that action
+    may fix classes."""
+    h = draw(random_hypermaps())
+    flag = st.integers(0, h.n_flags - 1)
+    pairs = np.array(draw(st.lists(st.tuples(flag, flag), max_size=2)), dtype=DTYPE).reshape(-1, 2).T
+    labels = np.unique(_merge(h.generator_matrix(), pairs), return_inverse=True)[1].astype(DTYPE)
+    return h.generator_matrix(), _closure_action(h, labels)
 
 
 @st.composite
@@ -240,6 +277,80 @@ class TestClosureCover:
         with pytest.raises(Degenerate, match=r"h0, h1, h2 in the closure cover \(class count 1\)"):
             closure_cover(h)
         assert analyze(h).closure_cover is None
+
+
+def assert_summary_matches_built_cover(h):
+    try:
+        cc = closure_cover(h)
+    except Degenerate:
+        assert _closure_summary(h) is None
+    else:
+        assert _closure_summary(h) == QuotientSummary(cc.n_flags, type_of(cc), surface_class(cc).genus)
+
+
+class TestClosureSummary:
+    """analyze's closure-cover summary, derived without building the cover."""
+
+    def test_catalog(self, catalog):
+        for _, h in catalog:
+            assert_summary_matches_built_cover(h)
+
+    def test_examples_cover_every_case(self, catalog):
+        # an orientable h has an orientable, non-degenerate closure cover
+        extra = [validate(len(t[0]), *t) for t in (ORIENTABLE_CORE_6, NON_ORIENTABLE_CORE_8)]
+        cases = set()
+        for h in [h for _, h in catalog] + extra:
+            cover = None if _closure_summary(h) is None else surface_class(closure_cover(h)).orientable
+            cases.add((surface_class(h).orientable, cover))
+        assert cases == {(True, True), (False, False), (False, None)}
+
+    @settings(max_examples=80, deadline=None)
+    @given(h=random_hypermaps(), double=st.sampled_from((None, walsh, pin)))
+    @example(h=validate(6, *ORIENTABLE_CORE_6), double=None)
+    @example(h=validate(8, *NON_ORIENTABLE_CORE_8), double=None)
+    def test_random_hypermaps(self, h, double):
+        assert_summary_matches_built_cover(h if double is None else double(h))
+
+
+class TestOffTreeExtensionCheck:
+    """_extensions tests only the pairs off its spanning tree; ok must be
+    what checking every (flag, generator) pair of psi gives."""
+
+    @staticmethod
+    def assert_matches_full_check(a, b, grow, reference=True):
+        blocks = list(_extensions(a, b, np.arange(b.shape[1], dtype=DTYPE), grow=grow))
+        psi = np.concatenate([psi for psi, _ in blocks], axis=1)
+        ok = np.concatenate([ok for _, ok in blocks])
+        full = np.all([psi[a[i]] == b[i][psi] for i in range(3)], axis=(0, 1))
+        assert np.array_equal(ok, full)
+        if reference:
+            ta, tb = (tuple(map(tuple, rows.tolist())) for rows in (a, b))
+            for t in range(b.shape[1]):
+                phi = bf.extend_morphism(ta, tb, t)
+                assert (phi is not None) == ok[t]
+                assert phi is None or phi == tuple(psi[:, t].tolist())
+
+    def test_catalog_and_its_duals(self, catalog):
+        for _, h in catalog:
+            rows = h.generator_matrix()
+            for swapped in (rows, rows[[1, 0, 2]], rows[[0, 2, 1]]):
+                self.assert_matches_full_check(rows, swapped, grow=False, reference=False)
+
+    def test_action_with_fixed_classes(self):
+        # D3 with flags 0 and 1 merged: three classes, some of them fixed
+        h = build_Dn(3)
+        q = _closure_action(h, np.unique(_merge(h.generator_matrix(), np.array([[0], [1]])), return_inverse=True)[1])
+        assert q.shape[1] == 3 and (q == np.arange(3)).any()
+        assert not (q == np.arange(3)).all(axis=1).any()
+        for a, b in ((q, q), (h.generator_matrix(), q)):
+            self.assert_matches_full_check(a, b, grow=False)
+
+    @settings(max_examples=80, deadline=None)
+    @given(actions=quotient_actions(), grow=st.booleans())
+    def test_random_triples_and_quotient_actions(self, actions, grow):
+        rows, q = actions
+        for a, b in ((rows, rows), (q, q), (rows, q)):
+            self.assert_matches_full_check(a, b, grow)
 
 
 class TestAgainstGroupReference:
@@ -443,6 +554,33 @@ class TestAnalyze:
             assert report.regular == is_regular(h)
             assert (report.irregularity is not None) == report.bipartite_regular
 
+    def test_regular_entry_builds_one_hypermap_and_one_all_target_extension(self, monkeypatch):
+        # the input is the only hypermap; its closure cover is derived, and
+        # regularity, read off the one all-target self-extension, makes the
+        # flags the closure classes without a second one
+        text = to_text(build_named("P6"))
+        built, all_targets = [], []
+        init = Hypermap.__init__
+
+        def spy_init(self, *args):
+            built.append(args[0])
+            init(self, *args)
+
+        def spy_extensions(a_rows, b_rows, targets, grow=False):
+            if targets.shape[0] == b_rows.shape[1]:
+                all_targets.append(targets.shape[0])
+            return _extensions(a_rows, b_rows, targets, grow)
+
+        monkeypatch.setattr(Hypermap, "__init__", spy_init)
+        for module in (hypermap, theta, quotients):
+            monkeypatch.setattr(module, "_extensions", spy_extensions)
+        theta._stab_matched_flags.cache_clear()
+        _stab_and_closure.cache_clear()
+        report = analyze(from_text(text))
+        assert report.regular and report.closure_cover.flags == report.flags == 24
+        assert built == [24]
+        assert all_targets == [24]
+
     def test_doubled_pin_tetrahedron_fits_in_memory(self):
         # |Mon| = 331776: a normal closure over the group ran out of memory
         # here; the group-free quotients stay well under the limit
@@ -472,3 +610,33 @@ class TestAnalyze:
         )
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout) == [331776, 4, 331776, [12, 2, 12], 27649]
+
+    def test_large_random_document_is_refused_within_memory(self):
+        # A random 240-flag document: Mon is the symmetric or alternating
+        # group, and its closure outgrew memory before ORDER_LIMIT elements.
+        # The byte budget refuses the round that would pass it instead.
+        rng = np.random.default_rng(1)
+        rows = np.empty((3, 240), dtype=int)
+        for row in rows:
+            order = rng.permutation(240)
+            row[order[::2]], row[order[1::2]] = order[1::2], order[::2]
+        doc = to_text(validate(240, *rows))
+        limit = 3_000_000 * 1024
+
+        def cap_address_space():
+            import resource
+
+            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+        env = dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS="1")
+        proc = subprocess.run(
+            [sys.executable, "-m", "hypermaps.catalog.cli", "analyze"],
+            input=doc,
+            env=env,
+            preexec_fn=cap_address_space,
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert proc.returncode == 4, proc.stderr
+        assert proc.stderr == f"LimitExceeded: BYTE_LIMIT={perm.BYTE_LIMIT} exceeded\n"
