@@ -62,7 +62,8 @@ class NotTransitive(HypermapsError):
 
 class LimitExceeded(HypermapsError):
     """A computation outgrew its explicit budget, named by its argument:
-    todd_coxeter's coset_limit, perm.ORDER_LIMIT or perm.BYTE_LIMIT."""
+    todd_coxeter's coset_limit, perm.CHAIN_LIMIT, perm.ORDER_LIMIT or
+    perm.BYTE_LIMIT."""
 
     def __init__(self, budget: str, limit: int):
         self.budget = budget

@@ -430,26 +430,26 @@ def from_text(text: str) -> Hypermap:
     if foreign:
         line = text.count("\n", 0, foreign.start()) + 1
         raise ParseError(f"character U+{ord(foreign.group()):04X} is not a separator", line=line)
-    # with no other whitespace left, strip() and split() see only the separators
-    lines = [ln for ln in (raw.strip() for raw in text.split("\n")) if ln]
+    # with no other whitespace left, strip() and split() see only the separators;
+    # lines keep their number in the document, blank ones included
+    lines = [(no, ln) for no, ln in enumerate((raw.strip() for raw in text.split("\n")), 1) if ln]
     if not lines:
         raise ParseError("empty document")
-    head = lines[0].split()
+    head_no, head_line = lines[0]
+    head = head_line.split()
     # int() alone also takes signs, underscores and other scripts' digits
     if len(head) != 2 or head[0] != "hypermap" or not (head[1].isascii() and head[1].isdigit()):
-        raise ParseError(f"expected 'hypermap <n_flags>', got {lines[0]!r}", line=1)
+        raise ParseError(f"expected 'hypermap <n_flags>', got {head_line!r}", line=head_no)
     try:
         n_flags = int(head[1])
     except ValueError:  # more digits than int() converts
-        raise ParseError(f"flag count of {len(head[1])} digits is too long", line=1) from None
+        raise ParseError(f"flag count of {len(head[1])} digits is too long", line=head_no) from None
     if n_flags < 1:
-        raise ParseError("flag count must be positive", line=1)
+        raise ParseError("flag count must be positive", line=head_no)
     if len(lines) != 4:
         raise ParseError(f"expected 4 lines (header plus h0/h1/h2), got {len(lines)}")
     perms = []
-    for i in range(3):
-        line_no = i + 2
-        line = lines[i + 1]
+    for i, (line_no, line) in enumerate(lines[1:]):
         prefix = f"h{i}:"
         if not line.startswith(prefix):
             raise ParseError(f"expected line to start with {prefix!r}", line=line_no)
@@ -465,7 +465,7 @@ def from_text(text: str) -> Hypermap:
             images = [int(f) for f in fields]
         except ValueError:  # more digits than int() converts
             raise ParseError(f"h{i} image out of range", line=line_no) from None
-        if any(v >= n_flags for v in images):
+        if max(images) >= n_flags:
             raise ParseError(f"h{i} image out of range", line=line_no)
         try:
             perms.append(Permutation(images))

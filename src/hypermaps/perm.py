@@ -8,16 +8,20 @@ right multiplication by the generators, in the given order, and
 normal_closure under right multiplication by the seeds and conjugation by
 the ambient generators. A closure that passes ORDER_LIMIT elements, or
 whose next round would hold more than BYTE_LIMIT bytes of elements, raises
-LimitExceeded. recognize_group names a group from the histogram of its
-element orders alone.
+LimitExceeded. schreier_sims gives |G| and the generators of Stab(0)
+without enumerating G, from a base and strong generating set; its work is
+bounded by CHAIN_LIMIT. recognize_group names a group from the histogram of
+its element orders alone.
 All values are immutable after construction and every operation is a pure
 function, so concurrent use needs no coordination.
 """
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
@@ -29,6 +33,7 @@ __all__ = [
     "FiniteGroup",
     "GroupName",
     "generate_group",
+    "schreier_sims",
     "orbits",
     "point_stabilizer",
     "normal_closure",
@@ -41,6 +46,11 @@ ORDER_LIMIT = 1_000_000
 # Byte budget of one closure round: the elements kept plus the candidates it
 # gathers. The catalog's largest round (Mon of wal(pin(T))) needs 177 MB.
 BYTE_LIMIT = 1 << 28
+# Work budget of one Schreier–Sims chain, in point images: a product of two
+# permutations of degree n costs n. Every permutation the chain keeps is such
+# a product, so this bounds its memory as well as its time. A random 48-flag
+# document's chain (a symmetric or alternating group) needs 5-10 million.
+CHAIN_LIMIT = 20_000_000
 
 
 def _freeze(row: np.ndarray) -> np.ndarray:
@@ -314,6 +324,99 @@ def _orbit_tuples(labels: np.ndarray) -> tuple[tuple[int, ...], ...]:
     cuts = [0, *(np.flatnonzero(np.diff(labels[order])) + 1).tolist(), labels.size]
     points = order.tolist()
     return tuple(tuple(points[a:b]) for a, b in zip(cuts, cuts[1:]))
+
+
+def schreier_sims(generators, degree: int | None = None) -> tuple[int, np.ndarray]:
+    """|G| and the strong generators of Stab(0), by deterministic Schreier–Sims.
+
+    The base starts at point 0; each later base point is the least point
+    moved by the generator that needs it. Level i holds strong generators
+    fixing the first i base points and the coset representatives u (with
+    their inverses) of base point i's orbit under them. A level is
+    completed when each of its Schreier generators sifts to the identity
+    through the complete levels below; one that does not joins every level
+    down to where it stopped, and completion resumes there (Holt, Eick &
+    O'Brien, Handbook of Computational Group Theory, 2005, SCHREIERSIMS in
+    4.4.2; Sims 1970; Seress, Permutation Group Algorithms, 2003, ch. 4).
+    Levels only grow and known points keep their u, so a Schreier generator
+    that sifted once stays in the group below: none is sifted twice. |G| is
+    the product of the orbit lengths, and the strong generators of the
+    second level generate Stab(0); they are returned as a read-only
+    (k, degree) array. Raises LimitExceeded once the products computed pass
+    CHAIN_LIMIT point images.
+    """
+    rows, degree = _as_rows(generators, degree)
+    ident = tuple(range(degree))
+    work = 0
+
+    def mul(a: tuple, b: tuple) -> tuple:
+        # apply a, then b
+        nonlocal work
+        work += degree
+        if work > CHAIN_LIMIT:
+            raise LimitExceeded("CHAIN_LIMIT", CHAIN_LIMIT)
+        return itemgetter(*a)(b)
+
+    def with_inverse(g: tuple) -> tuple[tuple, tuple]:
+        return g, tuple(sorted(range(degree), key=g.__getitem__))
+
+    base = [0]
+    strong = [[with_inverse(g) for g in map(tuple, rows.tolist()) if g != ident]]
+    reps: list[dict[int, tuple[tuple, tuple]]] = [{0: (ident, ident)}]  # point -> (u, u^-1)
+    checked: list[set[tuple[int, int]]] = [set()]  # (point, generator index) pairs sifted
+
+    def extend(level: int) -> None:
+        # the Schreier generator of an edge of the orbit's tree is the identity
+        table, points = reps[level], list(reps[level])
+        for p in points:
+            u, v = table[p]
+            for k, (s, s_inv) in enumerate(strong[level]):
+                if s[p] not in table:
+                    table[s[p]] = mul(u, s), mul(s_inv, v)
+                    checked[level].add((p, k))
+                    points.append(s[p])
+
+    def sift(h: tuple, start: int) -> tuple[tuple, int]:
+        for level in range(start, len(base)):
+            b = h[base[level]]
+            if b != base[level]:
+                if b not in reps[level]:
+                    return h, level
+                h = mul(h, reps[level][b][1])
+        return h, len(base)
+
+    def first_residue(level: int) -> tuple[tuple, int] | None:
+        table, done = reps[level], checked[level]
+        for p, (u, _) in table.items():
+            for k, (s, _) in enumerate(strong[level]):
+                if (p, k) not in done:
+                    done.add((p, k))
+                    h, stop = sift(mul(mul(u, s), table[s[p]][1]), level + 1)
+                    if h != ident:
+                        return h, stop
+        return None
+
+    extend(0)
+    i = 0
+    while i >= 0:
+        residue = first_residue(i)
+        if residue is None:
+            i -= 1
+            continue
+        h, j = residue
+        if j == len(base):
+            base.append(next(x for x in range(degree) if h[x] != x))
+            strong.append([])
+            reps.append({base[-1]: (ident, ident)})
+            checked.append(set())
+        pair = with_inverse(h)
+        for level in range(i + 1, j + 1):
+            strong[level].append(pair)
+            extend(level)
+        i = j
+    stab = np.array([s for s, _ in strong[1]] if len(base) > 1 else [], dtype=DTYPE).reshape(-1, degree)
+    stab.setflags(write=False)
+    return math.prod(map(len, reps)), stab
 
 
 def point_stabilizer(group: FiniteGroup, point: int) -> FiniteGroup:

@@ -20,8 +20,11 @@ For a hypermap with monodromy group G acting on the flags:
 * the irregularity index is |G| / |flags| (1 exactly for regular maps),
   and for bipartite-regular hypermaps the flag stabilizer itself is a
   group Upsilon whose isomorphism type refines the index. |G| and
-  Upsilon are read off the closure cover and the automorphisms; G is
-  enumerated only when the automorphisms have more than two flag orbits.
+  Upsilon are read off the closure cover and the automorphisms when these
+  have at most two flag orbits. Otherwise |G| and the generators of the
+  flag-0 stabilizer come from one Schreier–Sims chain (perm.schreier_sims),
+  computed once per hypermap, and the closure classes from those
+  generators; so no analysis enumerates a group.
 
 analyze() bundles the classification data for one hypermap into a report
 without listing the automorphism group, so it stays usable on inputs whose
@@ -57,6 +60,7 @@ from .perm import (
     Permutation,
     generate_group,
     recognize_group,
+    schreier_sims,
 )
 from .theta import (
     BIPARTITE,
@@ -149,32 +153,61 @@ def _merge(q: np.ndarray, pairs: np.ndarray) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=64)
+def _chain(h: Hypermap) -> tuple[int, np.ndarray]:
+    """|Mon| and the strong generators of the flag-0 stabilizer, from one
+    Schreier–Sims chain with flag 0 as its first base point."""
+    return schreier_sims(h.h, h.n_flags)
+
+
+def _few_orbits(h: Hypermap) -> bool:
+    """Aut has at most two flag orbits: 2 |Aut| >= n."""
+    return 2 * int(_stab_matched_flags(h).sum()) >= h.n_flags
+
+
+@functools.lru_cache(maxsize=64)
 def _stab_and_closure(h: Hypermap) -> np.ndarray:
     """The closure-cover partition of the flags, as a read-only label array.
 
-    Its classes are the orbits of the normal closure of the flag-0
-    stabilizer in the monodromy group; flag 0 is in class 0 and classes are
-    numbered by first appearance. Computed without the group, by congruence
-    closure from the discrete partition: every extension conflict of
-    class 0 -> x is merged, then the partition is closed under h0, h1, h2,
-    until every extension is consistent. Each merge is forced, because a
-    regular quotient has an automorphism sending class 0 to any class; so
-    the fixpoint is the largest regular quotient. On the discrete partition
-    only the flags _stab_matched_flags leaves unmatched can conflict, so
-    a regular h is its own closure cover.
+    Its classes are the orbits of the normal closure N of the flag-0
+    stabilizer S in the monodromy group; flag 0 is in class 0 and classes
+    are numbered by first appearance. Computed without enumerating the
+    group, by congruence closure, in one of two ways.
+
+    When Aut has at most two flag orbits: from the discrete partition,
+    every extension conflict of class 0 -> x is merged, then the partition
+    is closed under h0, h1, h2, until every extension is consistent. Each
+    merge is forced, because a regular quotient has an automorphism sending
+    class 0 to any class; so the fixpoint is the largest regular quotient.
+    On the discrete partition only the flags _stab_matched_flags leaves
+    unmatched can conflict, so a regular h is its own closure cover.
+
+    Otherwise: the closure of the pairs (x, x s) over the generators s of S
+    from _chain. A partition closed under h0, h1, h2 is a block system of
+    Mon. If each S-orbit lies in one block, S maps every block to itself
+    (it moves each point within its S-orbit), so S, and hence N, lies in
+    the kernel of Mon's action on the blocks, and each N-orbit lies in one
+    block. The N-orbits are such a block system themselves (N is normal and
+    contains S), so they are the finest one.
     """
     rows = h.generator_matrix()
-    labels = np.arange(h.n_flags, dtype=DTYPE)
-    targets = np.flatnonzero(~_stab_matched_flags(h)).astype(DTYPE)
-    while targets.size:
-        _, reps = np.unique(labels, return_index=True)
-        q = labels[rows[:, reps]]
-        pairs = _extension_conflicts(q, targets)
-        if not pairs.size:
-            break
-        # roots are the least merged class, so their order is first appearance
-        labels = np.unique(_merge(q, pairs)[labels], return_inverse=True)[1].astype(DTYPE)
-        targets = np.arange(int(labels.max()) + 1, dtype=DTYPE)
+    if _few_orbits(h):
+        labels = np.arange(h.n_flags, dtype=DTYPE)
+        targets = np.flatnonzero(~_stab_matched_flags(h)).astype(DTYPE)
+        while targets.size:
+            _, reps = np.unique(labels, return_index=True)
+            q = labels[rows[:, reps]]
+            pairs = _extension_conflicts(q, targets)
+            if not pairs.size:
+                break
+            # roots are the least merged class, so their order is first appearance
+            labels = np.unique(_merge(q, pairs)[labels], return_inverse=True)[1].astype(DTYPE)
+            targets = np.arange(int(labels.max()) + 1, dtype=DTYPE)
+    else:
+        stab = _chain(h)[1]
+        points = np.broadcast_to(np.arange(h.n_flags, dtype=DTYPE), stab.shape)
+        # roots are the least flag of each class, so their order is first appearance
+        roots = _merge(rows, np.stack([points.ravel(), stab.ravel()]))
+        labels = np.unique(roots, return_inverse=True)[1].astype(DTYPE)
     labels.setflags(write=False)
     return labels
 
@@ -212,11 +245,12 @@ def _monodromy_order(h: Hypermap) -> int:
     regular. So the normal closure of S is S S^t (t swapping the blocks),
     and C0 = 0 S^t, which gives |C0| = |S|. The deck group (automorphisms
     sending 0 into C0) is the centralizer of S^t acting regularly on C0,
-    so it is isomorphic to S. Otherwise Mon is enumerated.
+    so it is isomorphic to S. Otherwise |Mon| is the order of the
+    Schreier–Sims chain (_chain); no group is enumerated either way.
     """
-    if 2 * int(_stab_matched_flags(h).sum()) >= h.n_flags:
+    if _few_orbits(h):
         return h.n_flags * int(np.count_nonzero(_stab_and_closure(h) == 0))
-    return monodromy_group(h).order
+    return _chain(h)[0]
 
 
 @dataclass(frozen=True)
@@ -274,7 +308,8 @@ def core_summary(h: Hypermap) -> QuotientSummary:
     order of a product of two generators in Mon, and its k-faces number
     |Mon| over twice those orders. It covers h, so it is orientable when h
     is, and is h when |Mon| = n; otherwise it is orientable exactly when
-    the even words <h0 h1, h1 h2> have index 2 in Mon.
+    the even words <h0 h1, h1 h2> have index 2 in Mon, their order coming
+    from a second Schreier–Sims chain.
     """
     order = _monodromy_order(h)
     t = type_of(h)
@@ -282,7 +317,7 @@ def core_summary(h: Hypermap) -> QuotientSummary:
     orientable = _parity_coloring(h, (1, 1, 1)) is not None
     if not orientable and order > h.n_flags:
         h0, h1, h2 = h.h
-        orientable = 2 * generate_group((h0 * h1, h1 * h2)).order == order
+        orientable = 2 * schreier_sims((h0 * h1, h1 * h2), h.n_flags)[0] == order
     return QuotientSummary(
         flags=order, type=t, genus=SurfaceClass.from_characteristic(chi, orientable).genus
     )

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from hypermaps import are_isomorphic, build_platonic, build_Pn, dual, from_text, perm
+from hypermaps import are_isomorphic, build_platonic, build_Pn, dual, from_text, perm, quotients
 from hypermaps.catalog.cli import _build_parser, main
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -325,19 +325,34 @@ class TestAnalyze:
 
     def test_group_order_budget_exits_four(self, monkeypatch):
         # A random transitive 12-flag document, |Mon| = 240: its automorphisms
-        # have more than two flag orbits, so analyze enumerates Mon, and past
-        # the lowered budget it refuses.
+        # have more than two flag orbits, so analyze builds a Schreier–Sims
+        # chain for Mon (1,452 point images), and past the lowered budget it
+        # refuses.
         doc = (
             "hypermap 12\n"
             "h0: 8 4 9 10 1 6 5 11 0 2 3 7\n"
             "h1: 6 5 7 9 8 1 0 2 4 3 11 10\n"
             "h2: 10 3 9 1 7 6 5 4 11 2 0 8\n"
         )
-        monkeypatch.setattr(perm, "ORDER_LIMIT", 100)
+        monkeypatch.setattr(perm, "CHAIN_LIMIT", 1000)
         code, out, err = run_cli(["analyze", "--json"], stdin_text=doc)
         assert code == 4
         assert out == ""
-        assert "LimitExceeded: ORDER_LIMIT=100 exceeded" in err
+        assert "LimitExceeded: CHAIN_LIMIT=1000 exceeded" in err
+
+    def test_group_order_within_default_budget(self):
+        # the document above, at the default budget
+        doc = (
+            "hypermap 12\n"
+            "h0: 8 4 9 10 1 6 5 11 0 2 3 7\n"
+            "h1: 6 5 7 9 8 1 0 2 4 3 11 10\n"
+            "h2: 10 3 9 1 7 6 5 4 11 2 0 8\n"
+        )
+        code, out, err = run_cli(["analyze", "--json"], stdin_text=doc)
+        # a cached chain would hide the lowered budget from a later run
+        quotients._chain.cache_clear()
+        assert code == 0, err
+        assert json.loads(out)["monodromy_order"] == 240
 
     def test_text_report_mentions_key_lines(self):
         code, out, _ = run_cli(["analyze"], stdin_text=build_text("Dn", "5"))

@@ -621,6 +621,28 @@ class TestSerialization:
         assert exc.value.line == line
 
 
+    @pytest.mark.parametrize(
+        "text, line, message",
+        [
+            ("\n\nhypermap x\nh0: 1 0\nh1: 1 0\nh2: 1 0\n", 3, "expected 'hypermap <n_flags>', got 'hypermap x'"),
+            ("hypermap 4\nh0: 1 0 3 2\n\nh1: 1 0 3 9\nh2: 2 3 0 1\n", 4, "h1 image out of range"),
+            (
+                "hypermap 4\r\n\r\nh0: 1 0 3 2\r\nh1: 1 0 3 2\r\n\r\nh2: 2 3 0\r\n",
+                6,
+                "h2 has 3 images, expected 4",
+            ),
+        ],
+    )
+    def test_errors_name_the_physical_line(self, text, line, message):
+        # blank lines count, as in the separator error
+        from hypermaps import ParseError
+
+        with pytest.raises(ParseError) as exc:
+            from_text(text)
+        assert exc.value.line == line
+        assert str(exc.value) == f"line {line}: {message}"
+
+
 class TestPublicNames:
     def test_every_export_is_listed_in_its_submodule(self):
         # the package re-exports each name with one `from .<submodule> import`

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hypermaps import (
@@ -12,6 +12,7 @@ from hypermaps import (
     LimitExceeded,
     NotAMember,
     NotNormal,
+    NotTransitive,
     Permutation,
     generate_group,
     normal_closure,
@@ -19,9 +20,11 @@ from hypermaps import (
     point_stabilizer,
     quotient_action,
     recognize_group,
+    validate,
 )
 from hypermaps import perm as perm_module
-from hypermaps.build import build_platonic, pin, regular_from_type
+from hypermaps.build import build_platonic, pin, regular_from_type, walsh
+from hypermaps.perm import schreier_sims
 from hypermaps.quotients import monodromy
 
 import bruteforce as bf
@@ -135,6 +138,62 @@ class TestOrbits:
         orb = orbits(list(g.generators), 6)[0]
         stab = point_stabilizer(g, 0)
         assert len(orb) * stab.order == g.order
+
+
+@st.composite
+def chain_inputs(draw):
+    """A transitive triple of fixed-point-free involutions on 2 to 10 flags,
+    or its walsh or pin double, as rows."""
+    n = draw(st.sampled_from(range(2, 11, 2)))
+    rows = []
+    for _ in range(3):
+        order = draw(st.permutations(range(n)))
+        img = [0] * n
+        for a, b in zip(order[::2], order[1::2]):
+            img[a], img[b] = b, a
+        rows.append(img)
+    try:
+        h = validate(n, *rows)
+    except NotTransitive:
+        assume(False)
+    double = draw(st.sampled_from((None, walsh, pin)))
+    return bf.as_triple(h if double is None else double(h))
+
+
+class TestSchreierSims:
+    @settings(max_examples=80, deadline=None)
+    @given(triple=chain_inputs())
+    def test_orders_and_stabilizer_match_enumeration(self, triple):
+        # Mon and the even words <h0 h1, h1 h2>, wherever the closure fits
+        h0, h1, h2 = triple
+        for gens in (triple, (bf.compose(h0, h1), bf.compose(h1, h2))):
+            elements = bf.closure(gens, limit=5000)
+            if elements is None:
+                continue
+            order, stab = schreier_sims(gens, len(h0))
+            assert order == len(elements)
+            assert stab.shape[1] == len(h0) and not stab.flags.writeable
+            reached = bf.closure([tuple(s) for s in stab.tolist()] or [bf.identity(len(h0))])
+            assert reached == {g for g in elements if g[0] == 0}
+
+    def test_base_points_past_a_fixed_zero(self):
+        # every generator fixes 0: the stabilizer is the whole group
+        gens = [perm((1, 2), degree=4), perm((2, 3), degree=4)]
+        order, stab = schreier_sims(gens)
+        assert order == 6
+        assert bf.closure([tuple(s) for s in stab.tolist()]) == bf.closure([tuple(g.images.tolist()) for g in gens])
+        assert schreier_sims([Permutation.identity(3)])[0] == 1
+
+    def test_chain_limit_is_an_explicit_budget(self, monkeypatch):
+        # the chain of S5 from a transposition and a 5-cycle costs 64
+        # products of degree 5
+        gens = [perm((0, 1), degree=5), perm((0, 1, 2, 3, 4), degree=5)]
+        monkeypatch.setattr(perm_module, "CHAIN_LIMIT", 320)
+        assert schreier_sims(gens)[0] == 120
+        monkeypatch.setattr(perm_module, "CHAIN_LIMIT", 319)
+        with pytest.raises(LimitExceeded, match="CHAIN_LIMIT=319 exceeded") as info:
+            schreier_sims(gens)
+        assert (info.value.budget, info.value.limit) == ("CHAIN_LIMIT", 319)
 
 
 class TestPointStabilizer:

@@ -44,6 +44,7 @@ from hypermaps.catalog.oracle import fixed_point_free_involutions
 from hypermaps.hypermap import _extensions, monodromy_group
 from hypermaps.quotients import (
     QuotientSummary,
+    _chain,
     _closure_action,
     _closure_summary,
     _merge,
@@ -136,10 +137,11 @@ def doubled_triples(draw):
 
 
 @st.composite
-def random_hypermaps(draw):
-    """A transitive triple of fixed-point-free involutions on 2 to 16 flags,
-    each pairing consecutive points of a random ordering."""
-    n = draw(st.sampled_from(range(2, 17, 2)))
+def random_hypermaps(draw, sizes=range(2, 17, 2)):
+    """A transitive triple of fixed-point-free involutions on 2 to 16 flags
+    (or the given sizes), each pairing consecutive points of a random
+    ordering."""
+    n = draw(st.sampled_from(sizes))
     rows = []
     for _ in range(3):
         order = draw(st.permutations(range(n)))
@@ -407,9 +409,34 @@ class TestDerivedMonodromy:
             assert (report.index, report.group) == (stab.order, recognize_group(stab))
 
 
+class TestChain:
+    """The Schreier–Sims chain that analyze uses when the automorphisms have
+    more than two flag orbits, against enumeration."""
+
+    def test_orders_match_catalog_enumeration(self, catalog, mon_order):
+        assert "wal(pin(T))" in mon_order
+        for name, h in catalog:
+            assert _chain(h)[0] == mon_order[name], name
+
+    @settings(max_examples=80, deadline=None)
+    @given(h=random_hypermaps(sizes=(6, 8)), double=st.sampled_from((None, walsh, pin)))
+    @example(h=from_text(DEGENERATE_6), double=None)
+    def test_closure_classes_are_normal_closure_orbits(self, h, double):
+        h = h if double is None else double(h)
+        assume(2 * automorphisms(h).order < h.n_flags)
+        triple = bf.as_triple(h)
+        elements = bf.closure(triple, limit=5000)
+        assume(elements is not None)
+        normal = bf.normal_closure_brute(triple, [g for g in elements if g[0] == 0])
+        labels = _stab_and_closure(h)
+        for x in range(h.n_flags):
+            assert {g[x] for g in normal} == set(np.flatnonzero(labels == labels[x]).tolist())
+
+
 class TestGroupFree:
-    """The table reproductions and every analysis of a hypermap whose
-    automorphisms have at most two flag orbits enumerate no group."""
+    """The table reproductions and every analysis enumerate no group: with
+    at most two automorphism orbits |Mon| is derived, with more it comes
+    from the Schreier–Sims chain."""
 
     def test_table_reproductions(self, monkeypatch):
         with monkeypatch.context() as m:
@@ -433,6 +460,24 @@ class TestGroupFree:
             if irr is not None:
                 stab = point_stabilizer(mon, 0)
                 assert (irr.index, irr.group) == (stab.order, recognize_group(stab))
+
+    def test_doubled_pin_tetrahedron(self, monkeypatch):
+        h = build_named("wal(pin(T))")
+        with monkeypatch.context() as m:
+            refuse_enumeration(m)
+            report = analyze(h)
+        assert 2 * automorphisms(h).order < h.n_flags
+        assert report.monodromy_order == 331776
+        assert report.covering_core == QuotientSummary(331776, type_of(h), 27649)
+
+    @settings(max_examples=60, deadline=None)
+    @given(h=random_hypermaps())
+    def test_random_analyses(self, h):
+        with pytest.MonkeyPatch.context() as m:
+            refuse_enumeration(m)
+            report = analyze(h)
+        elements = bf.closure(bf.as_triple(h), limit=5000)
+        assert elements is None or report.monodromy_order == len(elements)
 
 
 class TestIrregularity:
@@ -613,8 +658,8 @@ class TestAnalyze:
 
     def test_large_random_document_is_refused_within_memory(self):
         # A random 240-flag document: Mon is the symmetric or alternating
-        # group, and its closure outgrew memory before ORDER_LIMIT elements.
-        # The byte budget refuses the round that would pass it instead.
+        # group, whose Schreier–Sims chain needs more work than CHAIN_LIMIT
+        # allows; the chain stops there, within memory.
         rng = np.random.default_rng(1)
         rows = np.empty((3, 240), dtype=int)
         for row in rows:
@@ -639,4 +684,4 @@ class TestAnalyze:
             timeout=300,
         )
         assert proc.returncode == 4, proc.stderr
-        assert proc.stderr == f"LimitExceeded: BYTE_LIMIT={perm.BYTE_LIMIT} exceeded\n"
+        assert proc.stderr == f"LimitExceeded: CHAIN_LIMIT={perm.CHAIN_LIMIT} exceeded\n"
