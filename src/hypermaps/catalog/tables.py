@@ -35,8 +35,8 @@ from ..hypermap import (
     type_of,
     valencies,
 )
-from ..perm import GroupName
-from ..quotients import closure_cover, core_summary, irregularity, monodromy
+from ..perm import schreier_sims
+from ..quotients import closure_cover, core_summary, irregularity
 from ..theta import BIPARTITE, is_regular, is_theta_regular
 from .registry import build_named
 
@@ -76,16 +76,16 @@ class VerificationRow:
 
 def _cyclic(n: int) -> str:
     """Cyclic-of-order-n, under the naming normalization."""
-    return str(GroupName.trivial()) if n == 1 else str(GroupName.cyclic(n))
+    return "Trivial" if n == 1 else f"Cyclic({n})"
 
 
 def _dihedral(n: int) -> str:
     """Dihedral-of-order-2n, under the naming normalization."""
     if n == 1:
-        return str(GroupName.cyclic(2))
+        return "Cyclic(2)"
     if n == 2:
-        return str(GroupName.klein_four())
-    return str(GroupName.dihedral(n))
+        return "KleinFour"
+    return f"Dihedral({n})"
 
 
 def _profile(vals: Iterable[int]) -> tuple[tuple[int, int], ...]:
@@ -171,7 +171,7 @@ def verify_table1(k_max: int = 6) -> tuple[VerificationRow, ...]:
                 "uniform": is_uniform(h),
                 "regular": is_regular(h),
                 "chi": euler_characteristic(h),
-                "mon_order": monodromy(h).order,
+                "mon_order": schreier_sims(h.h, h.n_flags)[0],
             }
             row_id = f"{rid}[k={k}]" if parameterized else str(rid)
             rows.append(VerificationRow("table1", row_id, expr, expected, computed))
@@ -311,7 +311,7 @@ _T3_ROWS: tuple[_T3Row, ...] = (
     _T3Row(1, "pin(dual02(D{n}))",
            lambda n: f"dual02(D{2 * n})", lambda n: (1, 2 * n, 2 * n), lambda n: 4 * n,
            lambda n: (1, 2 * n, 2 * n), lambda n: 4 * n, _const(0),
-           _const(1), _const(str(GroupName.trivial()))),
+           _const(1), _const("Trivial")),
     _T3Row(2, "pin(P{n})",
            _even_odd(_const("dual02(D4)"), _const("dual02(D2)")),
            _even_odd(_const((1, 4, 4)), _const((1, 2, 2))),
@@ -324,28 +324,28 @@ _T3_ROWS: tuple[_T3Row, ...] = (
     _T3Row(3, "pin(dual01(T))",
            _const("dual02(D6)"), _const((1, 6, 6)), _const(12),
            _const((2, 6, 6)), _const(192), _const(9),
-           _const(4), _const(str(GroupName.klein_four()))),
+           _const(4), _const("KleinFour")),
     _T3Row(4, "pin(dual01(C))", *_CC_D2,
            _const((2, 6, 8)), _const(2304), _const(121),
-           _const(24), _const(str(GroupName.sym4()))),
+           _const(24), _const("Sym4")),
     _T3Row(5, "pin(dual01(D))", *_CC_D2,
            _const((2, 6, 10)), _const(14400), _const(841),
-           _const(60), _const(str(GroupName.alt5()))),
+           _const(60), _const("Alt5")),
     _T3Row(6, "pin(T)", *_CC_D2,
            _const((3, 4, 6)), _const(576), _const(37),
-           _const(12), _const(str(GroupName.alt4()))),
+           _const(12), _const("Alt4")),
     _T3Row(7, "pin(C)", *_CC_D4,
            _const((3, 4, 8)), _const(1152), _const(85),
-           _const(12), _const(str(GroupName.alt4()))),
+           _const(12), _const("Alt4")),
     _T3Row(8, "pin(D)", *_CC_D2,
            _const((3, 4, 10)), _const(14400), _const(1141),
-           _const(60), _const(str(GroupName.alt5()))),
+           _const(60), _const("Alt5")),
     _T3Row(9, "pin(dual02(C))", *_CC_D2,
            _const((4, 4, 6)), _const(2304), _const(193),
-           _const(24), _const(str(GroupName.sym4()))),
+           _const(24), _const("Sym4")),
     _T3Row(10, "pin(dual02(D))", *_CC_D2,
            _const((5, 4, 6)), _const(14400), _const(1381),
-           _const(60), _const(str(GroupName.alt5()))),
+           _const(60), _const("Alt5")),
     _T3Row(11, "pin(dual12(D{n}))", *_CC_D2,
            lambda n: (n, 2, 2 * n), lambda n: 4 * n * n,
            lambda n: (n - 1) * (n - 2) // 2,
@@ -356,23 +356,23 @@ _T3_ROWS: tuple[_T3Row, ...] = (
     _T3Row(13, "wal(P{n})",
            lambda n: f"P{2 * n}", lambda n: (2, 2, 2 * n), lambda n: 8 * n,
            lambda n: (2, 2, 2 * n), lambda n: 8 * n, _const(0),
-           _const(1), _const(str(GroupName.trivial()))),
+           _const(1), _const("Trivial")),
     _T3Row(14, "wal(T)", *_CC_D2,
            _const((6, 2, 6)), _const(576), _const(25),
-           _const(12), _const(str(GroupName.alt4()))),
+           _const(12), _const("Alt4")),
     _T3Row(15, "wal(C)", *_CC_D2,
            _const((6, 2, 8)), _const(2304), _const(121),
-           _const(24), _const(str(GroupName.sym4()))),
+           _const(24), _const("Sym4")),
     _T3Row(16, "wal(D)", *_CC_D2,
            _const((6, 2, 10)), _const(14400), _const(841),
-           _const(60), _const(str(GroupName.alt5()))),
+           _const(60), _const("Alt5")),
     _T3Row(17, "wal(dual02(C))",
            _const("P6"), _const((2, 2, 6)), _const(24),
            _const((4, 2, 6)), _const(384), _const(9),
-           _const(4), _const(str(GroupName.klein_four()))),
+           _const(4), _const("KleinFour")),
     _T3Row(18, "wal(dual02(D))", *_CC_D2,
            _const((10, 2, 6)), _const(14400), _const(841),
-           _const(60), _const(str(GroupName.alt5()))),
+           _const(60), _const("Alt5")),
     _T3Row(19, "wal(dual02(P{n}))",
            _even_odd(_const("P4"), _const("dual02(D2)")),
            _even_odd(_const((2, 2, 4)), _const((1, 2, 2))),
@@ -385,17 +385,17 @@ _T3_ROWS: tuple[_T3Row, ...] = (
     _T3Row(20, "wal(dual12(T))",
            _const("C"), _const((3, 2, 4)), _const(48),
            _const((3, 2, 4)), _const(48), _const(0),
-           _const(1), _const(str(GroupName.trivial()))),
+           _const(1), _const("Trivial")),
     _T3Row(21, "wal(dual12(C))", *_CC_D2,
            _const((12, 2, 4)), _const(2304), _const(97),
-           _const(24), _const(str(GroupName.sym4()))),
+           _const(24), _const("Sym4")),
     _T3Row(22, "wal(dual12(D))", *_CC_D2,
            _const((15, 2, 4)), _const(14400), _const(661),
-           _const(60), _const(str(GroupName.alt5()))),
+           _const(60), _const("Alt5")),
     _T3Row(23, "wal(D{n})",
            lambda n: f"dual02(P{n})", lambda n: (n, 2, 2), lambda n: 4 * n,
            lambda n: (n, 2, 2), lambda n: 4 * n, _const(0),
-           _const(1), _const(str(GroupName.trivial()))),
+           _const(1), _const("Trivial")),
 )
 
 

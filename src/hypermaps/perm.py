@@ -1,17 +1,16 @@
 """Exact permutation and finite-group machinery.
 
 Permutations act on the right: the product ``a * b`` means "apply a, then b",
-so ``(a * b)(x) == b(a(x))``. Groups are stored by full element enumeration
-(the largest in the catalog, Mon of wal(pin(T)), has order 331,776). One
-breadth-first closure of the identity builds them all: generate_group under
+so ``(a * b)(x) == b(a(x))``. schreier_sims gives |G| and the generators of
+Stab(0) from a base and strong generating set, without listing G; its work
+is bounded by CHAIN_LIMIT. A FiniteGroup holds every element: one
+breadth-first closure of the identity builds them all, generate_group under
 right multiplication by the generators, in the given order, and
 normal_closure under right multiplication by the seeds and conjugation by
 the ambient generators. A closure that passes ORDER_LIMIT elements, or
 whose next round would hold more than BYTE_LIMIT bytes of elements, raises
-LimitExceeded. schreier_sims gives |G| and the generators of Stab(0)
-without enumerating G, from a base and strong generating set; its work is
-bounded by CHAIN_LIMIT. recognize_group names a group from the histogram of
-its element orders alone.
+LimitExceeded. recognize_group names a group from the histogram of its
+element orders alone.
 All values are immutable after construction and every operation is a pure
 function, so concurrent use needs no coordination.
 """
@@ -527,38 +526,6 @@ class GroupName:
         else:
             raise ValueError(f"unknown tag {self.tag!r}")
 
-    @classmethod
-    def trivial(cls) -> "GroupName":
-        return cls("Trivial")
-
-    @classmethod
-    def cyclic(cls, n: int) -> "GroupName":
-        return cls("Cyclic", n)
-
-    @classmethod
-    def dihedral(cls, n: int) -> "GroupName":
-        return cls("Dihedral", n)
-
-    @classmethod
-    def klein_four(cls) -> "GroupName":
-        return cls("KleinFour")
-
-    @classmethod
-    def alt4(cls) -> "GroupName":
-        return cls("Alt4")
-
-    @classmethod
-    def sym4(cls) -> "GroupName":
-        return cls("Sym4")
-
-    @classmethod
-    def alt5(cls) -> "GroupName":
-        return cls("Alt5")
-
-    @classmethod
-    def unrecognized(cls, order: int) -> "GroupName":
-        return cls("Unrecognized", order)
-
     @property
     def group_order(self) -> int:
         if self.tag in self._ORDERS:
@@ -601,19 +568,19 @@ def recognize_group(group: FiniteGroup) -> GroupName:
     """
     n = group.order
     if n == 1:
-        return GroupName.trivial()
+        return GroupName("Trivial")
     hist = Counter(group.element_orders().tolist())
     if hist[n]:
-        return GroupName.cyclic(n)
+        return GroupName("Cyclic", n)
     if n == 4 and max(hist) == 2:
-        return GroupName.klein_four()
+        return GroupName("KleinFour")
     k = n // 2
     if n >= 6 and n % 2 == 0 and hist[k] and hist[2] == k + (k % 2 == 0):
-        return GroupName.dihedral(k)
+        return GroupName("Dihedral", k)
     if n == 12 and set(hist) == {1, 2, 3}:
-        return GroupName.alt4()
+        return GroupName("Alt4")
     if n == 24 and set(hist) <= {1, 2, 3, 4}:
-        return GroupName.sym4()
+        return GroupName("Sym4")
     if n == 60 and hist[5] == 24:
-        return GroupName.alt5()
-    return GroupName.unrecognized(n)
+        return GroupName("Alt5")
+    return GroupName("Unrecognized", n)

@@ -19,12 +19,15 @@ For a hypermap with monodromy group G acting on the flags:
   it;
 * the irregularity index is |G| / |flags| (1 exactly for regular maps),
   and for bipartite-regular hypermaps the flag stabilizer itself is a
-  group Upsilon whose isomorphism type refines the index. |G| and
-  Upsilon are read off the closure cover and the automorphisms when these
-  have at most two flag orbits. Otherwise |G| and the generators of the
-  flag-0 stabilizer come from one Schreier–Sims chain (perm.schreier_sims),
-  computed once per hypermap, and the closure classes from those
-  generators; so no analysis enumerates a group.
+  group Upsilon whose isomorphism type refines the index.
+
+_stab_and_closure is the one record of these per hypermap: the closure
+classes and |G|, by one of two group-free paths. When the automorphisms
+have at most two flag orbits, the classes are a congruence fixpoint and
+|G| is read off them; otherwise |G| and the generators of the flag-0
+stabilizer come from one Schreier–Sims chain (perm.schreier_sims), and the
+classes from those generators. Upsilon is read off the automorphisms, so
+no analysis enumerates a group.
 
 analyze() bundles the classification data for one hypermap into a report
 without listing the automorphism group, so it stays usable on inputs whose
@@ -78,7 +81,6 @@ __all__ = [
     "IrregularityReport",
     "QuotientSummary",
     "AnalysisReport",
-    "monodromy",
     "covering_core",
     "closure_cover",
     "core_summary",
@@ -86,11 +88,6 @@ __all__ = [
     "delta0_monodromy",
     "analyze",
 ]
-
-
-def monodromy(h: Hypermap) -> FiniteGroup:
-    """The group generated by h0, h1, h2 acting on the flags."""
-    return monodromy_group(h)
 
 
 def covering_core(h: Hypermap) -> Hypermap:
@@ -153,46 +150,43 @@ def _merge(q: np.ndarray, pairs: np.ndarray) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=64)
-def _chain(h: Hypermap) -> tuple[int, np.ndarray]:
-    """|Mon| and the strong generators of the flag-0 stabilizer, from one
-    Schreier–Sims chain with flag 0 as its first base point."""
-    return schreier_sims(h.h, h.n_flags)
+def _stab_and_closure(h: Hypermap) -> tuple[np.ndarray, int]:
+    """The closure-cover partition of the flags, as a read-only label array,
+    and |Mon|.
 
-
-def _few_orbits(h: Hypermap) -> bool:
-    """Aut has at most two flag orbits: 2 |Aut| >= n."""
-    return 2 * int(_stab_matched_flags(h).sum()) >= h.n_flags
-
-
-@functools.lru_cache(maxsize=64)
-def _stab_and_closure(h: Hypermap) -> np.ndarray:
-    """The closure-cover partition of the flags, as a read-only label array.
-
-    Its classes are the orbits of the normal closure N of the flag-0
+    The classes are the orbits of the normal closure N of the flag-0
     stabilizer S in the monodromy group; flag 0 is in class 0 and classes
     are numbered by first appearance. Computed without enumerating the
     group, by congruence closure, in one of two ways.
 
-    When Aut has at most two flag orbits: from the discrete partition,
-    every extension conflict of class 0 -> x is merged, then the partition
-    is closed under h0, h1, h2, until every extension is consistent. Each
-    merge is forced, because a regular quotient has an automorphism sending
-    class 0 to any class; so the fixpoint is the largest regular quotient.
-    On the discrete partition only the flags _stab_matched_flags leaves
-    unmatched can conflict, so a regular h is its own closure cover.
+    When Aut has at most two flag orbits (2 |Aut| >= n): from the discrete
+    partition, every extension conflict of class 0 -> x is merged, then the
+    partition is closed under h0, h1, h2, until every extension is
+    consistent. Each merge is forced, because a regular quotient has an
+    automorphism sending class 0 to any class; so the fixpoint is the
+    largest regular quotient. On the discrete partition only the flags
+    _stab_matched_flags leaves unmatched can conflict, so a regular h is
+    its own closure cover. Here |Mon| = n |C0|, for flag 0's class C0. Each
+    Aut orbit is a block of Mon; S is the kernel of Mon's action on the
+    orbit O of flag 0, and that action is regular. So N is S S^t (t
+    swapping the blocks), and C0 = 0 S^t, which gives |C0| = |S|. The deck
+    group (automorphisms sending 0 into C0) is the centralizer of S^t
+    acting regularly on C0, so it is isomorphic to S.
 
-    Otherwise: the closure of the pairs (x, x s) over the generators s of S
-    from _chain. A partition closed under h0, h1, h2 is a block system of
-    Mon. If each S-orbit lies in one block, S maps every block to itself
-    (it moves each point within its S-orbit), so S, and hence N, lies in
-    the kernel of Mon's action on the blocks, and each N-orbit lies in one
-    block. The N-orbits are such a block system themselves (N is normal and
-    contains S), so they are the finest one.
+    Otherwise: |Mon| and the generators s of S from one Schreier–Sims
+    chain, and the closure of the pairs (x, x s). A partition closed under
+    h0, h1, h2 is a block system of Mon. If each S-orbit lies in one block,
+    S maps every block to itself (it moves each point within its S-orbit),
+    so S, and hence N, lies in the kernel of Mon's action on the blocks,
+    and each N-orbit lies in one block. The N-orbits are such a block
+    system themselves (N is normal and contains S), so they are the finest
+    one.
     """
     rows = h.generator_matrix()
-    if _few_orbits(h):
+    matched = _stab_matched_flags(h)
+    if 2 * int(matched.sum()) >= h.n_flags:
         labels = np.arange(h.n_flags, dtype=DTYPE)
-        targets = np.flatnonzero(~_stab_matched_flags(h)).astype(DTYPE)
+        targets = np.flatnonzero(~matched).astype(DTYPE)
         while targets.size:
             _, reps = np.unique(labels, return_index=True)
             q = labels[rows[:, reps]]
@@ -202,14 +196,15 @@ def _stab_and_closure(h: Hypermap) -> np.ndarray:
             # roots are the least merged class, so their order is first appearance
             labels = np.unique(_merge(q, pairs)[labels], return_inverse=True)[1].astype(DTYPE)
             targets = np.arange(int(labels.max()) + 1, dtype=DTYPE)
+        order = h.n_flags * int(np.count_nonzero(labels == 0))
     else:
-        stab = _chain(h)[1]
+        order, stab = schreier_sims(h.h, h.n_flags)
         points = np.broadcast_to(np.arange(h.n_flags, dtype=DTYPE), stab.shape)
         # roots are the least flag of each class, so their order is first appearance
         roots = _merge(rows, np.stack([points.ravel(), stab.ravel()]))
         labels = np.unique(roots, return_inverse=True)[1].astype(DTYPE)
     labels.setflags(write=False)
-    return labels
+    return labels, order
 
 
 def _closure_action(h: Hypermap, labels: np.ndarray) -> np.ndarray:
@@ -227,7 +222,7 @@ def closure_cover(h: Hypermap) -> Hypermap:
     quotient is no hypermap (for example when Mon is the full symmetric
     group and there is one class).
     """
-    images = _closure_action(h, _stab_and_closure(h))
+    images = _closure_action(h, _stab_and_closure(h)[0])
     count = images.shape[1]
     trivial = [f"h{i}" for i, img in enumerate(images) if np.array_equal(img, np.arange(count))]
     if trivial:
@@ -237,29 +232,13 @@ def closure_cover(h: Hypermap) -> Hypermap:
     return Hypermap(count, *images)
 
 
-def _monodromy_order(h: Hypermap) -> int:
-    """|Mon|: n |C0|, for flag 0's closure class C0, when 2|Aut| >= n.
-
-    Aut then has at most two orbits, each a block of Mon. S = Stab(0) is
-    the kernel of Mon's action on the orbit O of flag 0, and that action is
-    regular. So the normal closure of S is S S^t (t swapping the blocks),
-    and C0 = 0 S^t, which gives |C0| = |S|. The deck group (automorphisms
-    sending 0 into C0) is the centralizer of S^t acting regularly on C0,
-    so it is isomorphic to S. Otherwise |Mon| is the order of the
-    Schreier–Sims chain (_chain); no group is enumerated either way.
-    """
-    if _few_orbits(h):
-        return h.n_flags * int(np.count_nonzero(_stab_and_closure(h) == 0))
-    return _chain(h)[0]
-
-
 @dataclass(frozen=True)
 class IrregularityReport:
     """Irregularity data of a bipartite-regular hypermap.
 
     index is |monodromy| / |flags|; group names the flag stabilizer Upsilon
     (order lower_group_order); upper_group_order is |normal closure of
-    Upsilon| / index. All three orders are equal (see _monodromy_order).
+    Upsilon| / index. All three orders are equal (see _stab_and_closure).
     """
 
     index: int
@@ -272,8 +251,19 @@ def irregularity(h: Hypermap) -> IrregularityReport:
     """Index and Upsilon, read off the deck group over the closure cover."""
     if not is_theta_regular(h, BIPARTITE):
         raise NotBipartiteRegular("irregularity is defined for bipartite-regular hypermaps")
-    deck = _automorphism_group(h, np.flatnonzero(_stab_and_closure(h) == 0))
+    deck = _automorphism_group(h, np.flatnonzero(_stab_and_closure(h)[0] == 0))
     return IrregularityReport(deck.order, recognize_group(deck), deck.order, deck.order)
+
+
+def _delta0_generators(h: Hypermap) -> tuple[Permutation, ...]:
+    """t1, t2, t0 t1 t0, t0 t2 t0 restricted to the color-0 flags."""
+    colors = _parity_coloring(h, (1, 0, 0))
+    if colors is None:
+        raise NotBipartite("no vertex 2-coloring")
+    flags, pos = _class_arrays(colors, 0)
+    t0, t1, t2 = (p.images for p in h.h)
+    words = (t1, t2, t0[t1[t0]], t0[t2[t0]])
+    return tuple(Permutation(pos[w[flags]]) for w in words)
 
 
 def delta0_monodromy(h: Hypermap) -> FiniteGroup:
@@ -282,14 +272,8 @@ def delta0_monodromy(h: Hypermap) -> FiniteGroup:
     Defined for bipartite h: the four restricted maps generate a group on
     the color-0 flags isomorphic to the full monodromy group.
     """
-    colors = _parity_coloring(h, (1, 0, 0))
-    if colors is None:
-        raise NotBipartite("no vertex 2-coloring")
-    flags, pos = _class_arrays(colors, 0)
-    t0, t1, t2 = (p.images for p in h.h)
-    words = (t1, t2, t0[t1[t0]], t0[t2[t0]])
-    gens = tuple(Permutation(pos[w[flags]]) for w in words)
-    return generate_group(gens, flags.shape[0])
+    gens = _delta0_generators(h)
+    return generate_group(gens, gens[0].degree)
 
 
 @dataclass(frozen=True)
@@ -311,7 +295,7 @@ def core_summary(h: Hypermap) -> QuotientSummary:
     the even words <h0 h1, h1 h2> have index 2 in Mon, their order coming
     from a second Schreier–Sims chain.
     """
-    order = _monodromy_order(h)
+    order = _stab_and_closure(h)[1]
     t = type_of(h)
     chi = order // (2 * t.l) + order // (2 * t.m) + order // (2 * t.n) - order // 2
     orientable = _parity_coloring(h, (1, 1, 1)) is not None
@@ -334,7 +318,7 @@ def _closure_summary(h: Hypermap) -> QuotientSummary | None:
     stabilizer is made of even words, so its normal closure is too, and the
     coloring is constant on every class and descends to the cover.
     """
-    q = _closure_action(h, _stab_and_closure(h))
+    q = _closure_action(h, _stab_and_closure(h)[0])
     count = q.shape[1]
     points = np.arange(count, dtype=DTYPE)
     if (q == points).all(axis=1).any():

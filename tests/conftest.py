@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from hypermaps import _kernels, hypermap, monodromy, pin, walsh
+from hypermaps import _kernels, hypermap, pin, walsh
 from hypermaps.catalog import (
     brute_oracle,
     full_catalog,
@@ -37,7 +37,7 @@ def pin_of(catalog):
 @pytest.fixture(scope="session")
 def mon_order(catalog):
     """|Mon| of every catalog entry, enumerated once for the session."""
-    return {name: monodromy(h).order for name, h in catalog}
+    return {name: hypermap.monodromy_group(h).order for name, h in catalog}
 
 
 class LawResults:

@@ -19,10 +19,10 @@ from hypermaps import (
     euler_characteristic,
     is_regular,
     is_uniform,
-    monodromy,
     regular_from_type,
     type_of,
 )
+from hypermaps.hypermap import monodromy_group
 
 from conftest import LawResults
 
@@ -53,7 +53,7 @@ def test_criterion_1_spherical_regular_families(table1):
             and is_regular(h)
             and euler_characteristic(h) == 2
             and type_of(h).as_tuple() == (l, m, n)
-            and monodromy(h).order == flags
+            and monodromy_group(h).order == flags
         )
         if not good:
             problems.append(f"({l},{m},{n})")

@@ -33,7 +33,7 @@ from hypermaps.build import (
     unwalsh,
     walsh,
 )
-from hypermaps.quotients import monodromy
+from hypermaps.hypermap import monodromy_group
 
 import bruteforce as bf
 
@@ -110,7 +110,7 @@ class TestRegularFromType:
             assert is_uniform(h)
             assert type_of(h).as_tuple() == lmn
             assert euler_characteristic(h) == 2
-            assert monodromy(h).order == h.n_flags
+            assert monodromy_group(h).order == h.n_flags
 
     def test_unrealizable_type_collapses(self):
         # relator interaction can force a smaller quotient; the result
@@ -174,7 +174,7 @@ class TestBuilders:
             m = build_Mk(k)
             assert m.n_flags == 4 * k
             assert len(k_faces(m, 2)) == 1
-            g = monodromy(m)
+            g = monodromy_group(m)
             assert g.order == 4 * k
 
     def test_bad_parameters_rejected(self):

@@ -349,8 +349,8 @@ class TestAnalyze:
             "h2: 10 3 9 1 7 6 5 4 11 2 0 8\n"
         )
         code, out, err = run_cli(["analyze", "--json"], stdin_text=doc)
-        # a cached chain would hide the lowered budget from a later run
-        quotients._chain.cache_clear()
+        # a cached quotient record would hide the lowered budget from a later run
+        quotients._stab_and_closure.cache_clear()
         assert code == 0, err
         assert json.loads(out)["monodromy_order"] == 240
 

@@ -47,7 +47,7 @@ from hypermaps.catalog import build_named, verify_table2, verify_table3, verify_
 from hypermaps.hypermap import _canonical, _face_valencies, _parity_coloring, monodromy_group
 from hypermaps.perm import orbits
 from hypermaps.theta import _stab_matched_flags
-from hypermaps.quotients import closure_cover, covering_core, monodromy
+from hypermaps.quotients import closure_cover, covering_core
 
 import bruteforce as bf
 
@@ -440,7 +440,7 @@ class TestFindCovering:
         rng = np.random.default_rng(7)
         cases = []
         for _, b in catalog:
-            if is_regular(b) or monodromy(b).order > 576:
+            if is_regular(b) or monodromy_group(b).order > 576:
                 continue
             tb = bf.as_triple(b)
             for a in (b, covering_core(b)):
@@ -529,12 +529,12 @@ class TestGrowingBlocks:
 class TestMonodromy:
     def test_order_matches_naive_closure(self):
         h = build_Pn(2)
-        g = monodromy(h)
+        g = monodromy_group(h)
         assert g.order == len(bf.closure(bf.as_triple(h)))
 
     def test_regular_map_monodromy_acts_like_flags(self):
         h = build_platonic("T")
-        assert monodromy(h).order == h.n_flags
+        assert monodromy_group(h).order == h.n_flags
 
 
 class TestMonodromyCache:

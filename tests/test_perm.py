@@ -25,7 +25,7 @@ from hypermaps import (
 from hypermaps import perm as perm_module
 from hypermaps.build import build_platonic, pin, regular_from_type, walsh
 from hypermaps.perm import schreier_sims
-from hypermaps.quotients import monodromy
+from hypermaps.hypermap import monodromy_group
 
 import bruteforce as bf
 
@@ -82,7 +82,7 @@ class TestGenerateGroup:
 
     def test_full_monodromy_of_24_flag_map(self):
         h = build_platonic("T")
-        g = monodromy(h)
+        g = monodromy_group(h)
         assert g.order == 24
         # naive closure over the same three involutions agrees
         naive = bf.closure([tuple(int(v) for v in p.images) for p in h.h])
@@ -207,7 +207,7 @@ class TestPointStabilizer:
             assert point_stabilizer(g, 0).order == 2
 
     def test_flag_stabilizer_of_doubled_tetrahedron(self):
-        g = monodromy(pin(build_platonic("T")))
+        g = monodromy_group(pin(build_platonic("T")))
         assert g.degree == 48
         assert point_stabilizer(g, 0).order == 12
 
@@ -219,7 +219,7 @@ class TestPointStabilizer:
     def test_few_generators_generate_exactly_the_stabilizer(self):
         cases = [(generate_group([perm((0, 1, 2, 3, 4), degree=5)]), 2)]
         cases += [(generate_group(bf.dihedral_gens(n), degree=n), 0) for n in (3, 4, 5)]
-        cases += [(monodromy(pin(build_platonic(name))), 0) for name in ("T", "D")]
+        cases += [(monodromy_group(pin(build_platonic(name))), 0) for name in ("T", "D")]
         for g, point in cases:
             stab = point_stabilizer(g, point)
             assert np.array_equal(stab.matrix, g.matrix[g.matrix[:, point] == point])
@@ -292,7 +292,7 @@ class TestNormalClosure:
         # reference first: conjugation-closed closure of the flag-0
         # stabilizer inside the order-14400 monodromy group, all in
         # plain tuples, must reach exactly 3600 elements
-        g = monodromy(pin(build_platonic("D")))
+        g = monodromy_group(pin(build_platonic("D")))
         assert g.order == 14400
         stab = point_stabilizer(g, 0)
         gens = [tuple(int(v) for v in p.images) for p in g.generators]
@@ -321,7 +321,7 @@ class TestQuotientAction:
     def test_quotient_by_unique_minimal_normal_subgroup(self):
         # reference first: scan the order-24 monodromy group of the
         # 24-flag spherical map for minimal normal subgroups
-        g = monodromy(build_platonic("T"))
+        g = monodromy_group(build_platonic("T"))
         gens = [tuple(int(v) for v in p.images) for p in g.generators]
         elems = bf.closure(gens)
         minimal = bf.minimal_normal_subgroups(elems, gens)
@@ -344,7 +344,7 @@ class TestQuotientAction:
     def test_quotient_respects_relations(self):
         # generator images must satisfy every short relation the
         # originals satisfy
-        g = monodromy(build_platonic("C"))
+        g = monodromy_group(build_platonic("C"))
         stab = point_stabilizer(g, 0)
         normal = normal_closure(g, list(stab.generators))
         _, images = quotient_action(g, normal)
@@ -413,42 +413,42 @@ class TestRecognizeGroup:
                 and set(bf.element_orders(elems)) <= {1, 2, 3, 4}
                 and bf.center_is_trivial(elems)
             )
-            assert (name == GroupName.sym4()) == is_sym4, label
-        named = {"D4": GroupName.dihedral(4), "D6": GroupName.dihedral(6), "A4": GroupName.alt4(),
-                 "D12": GroupName.dihedral(12), "S4": GroupName.sym4()}
+            assert (name == GroupName("Sym4")) == is_sym4, label
+        named = {"D4": GroupName("Dihedral", 4), "D6": GroupName("Dihedral", 6),
+                 "A4": GroupName("Alt4"), "D12": GroupName("Dihedral", 12), "S4": GroupName("Sym4")}
         orders = {"Q8": 8, "C4xC2": 8, "C2^3": 8, "Dic3": 12, "C6xC2": 12, "SL(2,3)": 24,
                   "C2xA4": 24, "C2xD6": 24}
-        expected = {**named, **{k: GroupName.unrecognized(n) for k, n in orders.items()}}
+        expected = {**named, **{k: GroupName("Unrecognized", n) for k, n in orders.items()}}
         assert names == expected
 
     def test_trivial(self):
         g = generate_group([Permutation.identity(1)])
-        assert recognize_group(g) == GroupName.trivial()
+        assert recognize_group(g) == GroupName("Trivial")
 
     def test_cyclic_six(self):
         g = generate_group([perm((0, 1, 2, 3, 4, 5), degree=6)])
-        assert recognize_group(g) == GroupName.cyclic(6)
+        assert recognize_group(g) == GroupName("Cyclic", 6)
 
     def test_klein_four(self):
         g = generate_group([perm((0, 1), (2, 3), degree=4), perm((0, 3), (1, 2), degree=4)])
-        assert recognize_group(g) == GroupName.klein_four()
+        assert recognize_group(g) == GroupName("KleinFour")
 
     def test_dihedral(self):
         for n in (3, 4, 5, 6):
             g = generate_group(bf.dihedral_gens(n), degree=n)
-            assert recognize_group(g) == GroupName.dihedral(n)
+            assert recognize_group(g) == GroupName("Dihedral", n)
 
     def test_alt4(self):
         g = generate_group(
             [perm((0, 1), (2, 3), degree=4), perm((0, 1, 2), degree=4)]
         )
         assert g.order == 12
-        assert recognize_group(g) == GroupName.alt4()
+        assert recognize_group(g) == GroupName("Alt4")
 
     def test_sym4(self):
         g = generate_group([perm((0, 1), degree=4), perm((0, 1, 2, 3), degree=4)])
         assert g.order == 24
-        assert recognize_group(g) == GroupName.sym4()
+        assert recognize_group(g) == GroupName("Sym4")
 
     def test_order_60_perfect_group(self):
         # reference first: an explicit even-permutation model of the
@@ -461,7 +461,7 @@ class TestRecognizeGroup:
         assert len(model) == 60
         assert bf.element_orders(elems) == bf.element_orders(model)
         assert bf.commutator_closure(elems) == elems
-        assert recognize_group(g) == GroupName.alt5()
+        assert recognize_group(g) == GroupName("Alt5")
 
     def test_order_60_alt5_exactly_when_perfect(self):
         # A5 is the only perfect group of order 60; the others here have
@@ -486,18 +486,18 @@ class TestRecognizeGroup:
             assert len(elems) == 60, name
             if bf.commutator_closure(elems) == elems:
                 perfect.add(name)
-            assert (recognize_group(g) == GroupName.alt5()) == (name in perfect), name
+            assert (recognize_group(g) == GroupName("Alt5")) == (name in perfect), name
         assert perfect == {"A5"}
 
     def test_flag_stabilizer_of_doubled_tetrahedron_is_alt4(self):
-        g = monodromy(pin(build_platonic("T")))
+        g = monodromy_group(pin(build_platonic("T")))
         stab = point_stabilizer(g, 0)
-        assert recognize_group(stab) == GroupName.alt4()
+        assert recognize_group(stab) == GroupName("Alt4")
 
     def test_unrecognized_order(self):
         g = generate_group([perm((0, 1, 2, 3, 4, 5, 6), degree=7)])
         name = recognize_group(g)
-        assert name == GroupName.cyclic(7)
+        assert name == GroupName("Cyclic", 7)
         q = generate_group(
             [perm((0, 1, 2, 3, 4, 5, 6, 7), degree=8), perm((1, 3), (2, 6), (5, 7), degree=8)]
         )
@@ -525,7 +525,7 @@ class TestFiniteGroupInvariants:
     def test_orbit_stabilizer_exhaustive_small_degrees(self):
         groups = [
             generate_group(bf.dihedral_gens(5), degree=5),
-            monodromy(build_platonic("T")),
+            monodromy_group(build_platonic("T")),
             generate_group([perm((0, 1), (2, 3), degree=4), perm((0, 1, 2), degree=4)]),
         ]
         for g in groups:

@@ -40,7 +40,6 @@ from hypermaps import (
     is_theta_regular,
     is_uniform,
     k_faces,
-    monodromy,
     normal_closure,
     pin,
     point_stabilizer,
@@ -50,6 +49,9 @@ from hypermaps import (
     type_of,
     walsh,
 )
+from hypermaps.hypermap import monodromy_group
+from hypermaps.perm import schreier_sims
+from hypermaps.quotients import _delta0_generators
 
 # wal(pin(T)) has a monodromy group of order 331776; quotient
 # constructions on it exhaust memory, so covering checks skip it
@@ -357,7 +359,7 @@ def monodromy_and_closure_orders_on_bipartite_regular(catalog, mon_order, **_):
         if irr.lower_group_order != irr.index or irr.upper_group_order != irr.index:
             violations.append(f"{name}: group orders")
         if mon_order[name] <= 2500:
-            mon = monodromy(h)
+            mon = monodromy_group(h)
             stab = point_stabilizer(mon, 0)
             nc = normal_closure(mon, list(stab.generators))
             if nc.order != irr.index**2:
@@ -371,10 +373,11 @@ def delta0_monodromy_order_for_every_doubling(catalog, wal_of, pin_of, mon_order
     violations = []
     for name, _ in catalog:
         expected = mon_order[name]
-        if delta0_monodromy(wal_of[name]).order != expected:
-            violations.append(f"wal({name})")
-        if delta0_monodromy(pin_of[name]).order != expected:
-            violations.append(f"pin({name})")
+        for label, d in ((f"wal({name})", wal_of[name]), (f"pin({name})", pin_of[name])):
+            if schreier_sims(_delta0_generators(d))[0] != expected:
+                violations.append(label)
+            if expected <= MON_CAP and delta0_monodromy(d).order != expected:
+                violations.append(f"{label}: enumerated")
     assert violations == []
 
 

@@ -39,12 +39,11 @@ from hypermaps import (
 from hypermaps import hypermap, quotients, theta, to_text
 from hypermaps._kernels import DTYPE
 from hypermaps.build import build_Dn, build_Mk, build_platonic, build_Pn, pin, walsh
-from hypermaps.catalog import build_named, verify_table3, verify_theorem_mk
+from hypermaps.catalog import build_named, verify_table1, verify_table2, verify_table3, verify_theorem_mk
 from hypermaps.catalog.oracle import fixed_point_free_involutions
 from hypermaps.hypermap import _extensions, monodromy_group
 from hypermaps.quotients import (
     QuotientSummary,
-    _chain,
     _closure_action,
     _closure_summary,
     _merge,
@@ -55,7 +54,6 @@ from hypermaps.quotients import (
     covering_core,
     delta0_monodromy,
     irregularity,
-    monodromy,
 )
 
 import bruteforce as bf
@@ -94,7 +92,7 @@ TWO_ORBIT_SIDES = (
 def assert_matches_group_reference(h):
     """closure_cover and core_summary against the explicit group constructions:
     Mon modulo the normal closure of the flag-0 stabilizer, and the core."""
-    mon = monodromy(h)
+    mon = monodromy_group(h)
     count, perms = quotient_action(mon, normal_closure(mon, point_stabilizer(mon, 0).generators))
     if any(p.is_identity() for p in perms):
         with pytest.raises(Degenerate):
@@ -181,10 +179,10 @@ def transitive_triples(draw):
 class TestMonodromy:
     def test_prism_orders(self):
         for n in (1, 2, 3, 5):
-            assert monodromy(build_Pn(n)).order == 4 * n
+            assert monodromy_group(build_Pn(n)).order == 4 * n
 
     def test_doubled_tetrahedron_order(self):
-        assert monodromy(pin(build_platonic("T"))).order == 576
+        assert monodromy_group(pin(build_platonic("T"))).order == 576
 
     def test_regular_hypermaps_have_flag_sized_monodromy(self, catalog, mon_order):
         for name, h in catalog:
@@ -193,7 +191,7 @@ class TestMonodromy:
 
     def test_matches_naive_closure(self):
         h = build_Mk(2)
-        assert monodromy(h).order == len(bf.closure(bf.as_triple(h)))
+        assert monodromy_group(h).order == len(bf.closure(bf.as_triple(h)))
 
 
 class TestCoveringCore:
@@ -219,13 +217,13 @@ class TestCoveringCore:
         for h in (pin(build_Pn(2)), walsh(build_Dn(3))):
             core = covering_core(h)
             assert is_regular(core)
-            assert core.n_flags == monodromy(h).order
+            assert core.n_flags == monodromy_group(h).order
             psi = find_covering(core, h)
             assert psi is not None
 
     def test_core_flag_count_is_monodromy_order(self, catalog):
         for _, h in catalog[:12]:
-            assert covering_core(h).n_flags == monodromy(h).order
+            assert covering_core(h).n_flags == monodromy_group(h).order
 
     def test_regular_non_orientable_summary_enumerates_no_group(self, monkeypatch):
         # a regular input is its own core, so no even-word subgroup is needed
@@ -404,19 +402,22 @@ class TestDerivedMonodromy:
         assume(elements is not None)
         assert core_summary(h).flags == analyze(h).monodromy_order == len(elements)
         if is_theta_regular(h, BIPARTITE):
-            stab = point_stabilizer(monodromy(h), 0)
+            stab = point_stabilizer(monodromy_group(h), 0)
             report = irregularity(h)
             assert (report.index, report.group) == (stab.order, recognize_group(stab))
 
 
 class TestChain:
-    """The Schreier–Sims chain that analyze uses when the automorphisms have
-    more than two flag orbits, against enumeration."""
+    """The quotient record on both sides of 2|Aut| >= n, the derived order
+    and the Schreier–Sims chain, against enumeration."""
 
     def test_orders_match_catalog_enumeration(self, catalog, mon_order):
         assert "wal(pin(T))" in mon_order
+        sides = set()
         for name, h in catalog:
-            assert _chain(h)[0] == mon_order[name], name
+            assert _stab_and_closure(h)[1] == mon_order[name], name
+            sides.add(2 * automorphisms(h).order >= h.n_flags)
+        assert sides == {True, False}
 
     @settings(max_examples=80, deadline=None)
     @given(h=random_hypermaps(sizes=(6, 8)), double=st.sampled_from((None, walsh, pin)))
@@ -428,7 +429,7 @@ class TestChain:
         elements = bf.closure(triple, limit=5000)
         assume(elements is not None)
         normal = bf.normal_closure_brute(triple, [g for g in elements if g[0] == 0])
-        labels = _stab_and_closure(h)
+        labels = _stab_and_closure(h)[0]
         for x in range(h.n_flags):
             assert {g[x] for g in normal} == set(np.flatnonzero(labels == labels[x]).tolist())
 
@@ -441,8 +442,8 @@ class TestGroupFree:
     def test_table_reproductions(self, monkeypatch):
         with monkeypatch.context() as m:
             refuse_enumeration(m)
-            rows = verify_table3(5) + verify_theorem_mk(8)
-        assert len(rows) == 51 + 8 and all(row.matches for row in rows)
+            rows = verify_table1(6) + verify_table2(6) + verify_table3(5) + verify_theorem_mk(8)
+        assert len(rows) == 15 + 64 + 51 + 8 and all(row.matches for row in rows)
 
     def test_two_orbit_analyses(self, catalog, monkeypatch):
         inputs = [h for _, h in catalog]
@@ -455,7 +456,7 @@ class TestGroupFree:
         for h, (report, core, irr) in zip(inputs, answers):
             assert report.covering_core == core and report.monodromy_order == core.flags
             assert report.irregularity == irr
-            mon = monodromy(h)
+            mon = monodromy_group(h)
             assert core.flags == mon.order
             if irr is not None:
                 stab = point_stabilizer(mon, 0)
@@ -484,17 +485,17 @@ class TestIrregularity:
     def test_doubled_dodecahedron(self):
         report = irregularity(pin(build_platonic("D")))
         assert report.index == 60
-        assert report.group == GroupName.alt5()
+        assert report.group == GroupName("Alt5")
 
     def test_doubled_cube_dual(self):
         report = irregularity(walsh(dual(build_platonic("C"), (0, 2, 1))))
         assert report.index == 24
-        assert report.group == GroupName.sym4()
+        assert report.group == GroupName("Sym4")
 
     def test_doubled_odd_prism(self):
         report = irregularity(pin(build_Pn(3)))
         assert report.index == 6
-        assert report.group == GroupName.dihedral(3)
+        assert report.group == GroupName("Dihedral", 3)
 
     def test_balanced_orders(self):
         for h in (pin(build_platonic("T")), walsh(build_Pn(2)), pin(build_Pn(2))):
@@ -530,18 +531,18 @@ class TestIrregularity:
     def test_monodromy_factorization(self):
         h = pin(build_platonic("C"))
         report = irregularity(h)
-        assert monodromy(h).order == h.n_flags * report.index
+        assert monodromy_group(h).order == h.n_flags * report.index
 
 
 class TestDelta0Monodromy:
     def test_doubled_tetrahedron_map(self):
         t = build_platonic("T")
         g = delta0_monodromy(walsh(t))
-        assert g.order == monodromy(t).order == 24
+        assert g.order == monodromy_group(t).order == 24
 
     def test_doubled_dodecahedron(self):
         d = build_platonic("D")
-        assert delta0_monodromy(pin(d)).order == monodromy(d).order == 120
+        assert delta0_monodromy(pin(d)).order == monodromy_group(d).order == 120
 
     def test_doubled_dipoles(self):
         for n in (2, 3, 5):
@@ -565,7 +566,7 @@ class TestAnalyze:
         assert not report.regular
         assert report.irregularity is not None
         assert report.irregularity.index == 12
-        assert report.irregularity.group == GroupName.alt4()
+        assert report.irregularity.group == GroupName("Alt4")
         assert report.covering_core.genus == 25
 
     def test_regular_prism_profile(self):
@@ -595,7 +596,7 @@ class TestAnalyze:
             report = analyze(h)
             assert report.flags == h.n_flags
             assert report.euler_characteristic == euler_characteristic(h)
-            assert report.monodromy_order == monodromy(h).order
+            assert report.monodromy_order == monodromy_group(h).order
             assert report.regular == is_regular(h)
             assert (report.irregularity is not None) == report.bipartite_regular
 
