@@ -7,8 +7,8 @@ Inputs are coerced to contiguous DTYPE arrays; outputs are DTYPE arrays.
       canonical_form; the searches of all (triple, start) instances advance
       one head at a time. canonical_code is the one-triple form.
   _orbit_labels -- least point of each orbit, for many generator sets at
-      once; every orbit, face and parity coloring in the package, and the
-      oracle's orbits of triples under the centralizer of h0.
+      once; every orbit and face in the package, and the oracle's orbits
+      of triples under the centralizer of h0.
   spherical_triples -- the transitive, Euler-characteristic-2 involution
       triples (brute-force oracle): orbit labels filter the m**2 triples
       whose h0 is the standard pairing, and a table of conjugates relabels

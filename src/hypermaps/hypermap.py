@@ -6,11 +6,13 @@ k=0, hyperedges for k=1, hyperfaces for k=2) are the orbits of the two
 generators other than h_k; a face's valency is half its orbit size. The
 base flag is index 0 everywhere a distinguished flag is needed.
 
-Values are immutable and hashable. They label their k-faces once, when
-checked for transitivity, and keep their face valencies, walk parities and
-parity colorings, read-only, from first use. The monodromy group is
-memoized for the four most recently used hypermaps only, since one group
-can hold hundreds of megabytes.
+Values are immutable and hashable. Each keeps one read-only (3, n_flags)
+generator matrix, which h.h wraps, and labels its k-faces once, when checked
+for transitivity. From first use it keeps its face valencies, parity
+colorings and one breadth-first tree from flag 0, which gives the walk
+parities and spans every equivariant extension from flag 0. The monodromy
+group is memoized for the four most recently used hypermaps only, since one
+group can hold hundreds of megabytes.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import math
 import re
 from collections.abc import Iterator
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -102,54 +105,35 @@ class Hypermap:
     use validate() to turn raw data into typed violation errors.
     """
 
-    __slots__ = ("n_flags", "h", "_hash", "_faces", "_walks", "_valencies", "_colorings")
+    __slots__ = ("n_flags", "h", "_rows", "_hash", "_faces", "_tree", "_valencies", "_colorings")
 
     def __init__(self, n_flags: int, h0, h1, h2):
         perms = tuple(p if isinstance(p, Permutation) else Permutation(p) for p in (h0, h1, h2))
         for i, p in enumerate(perms):
             if p.degree != n_flags:
                 raise ValueError(f"h{i} has degree {p.degree}, expected {n_flags}")
-            if not p.is_involution():
-                raise NotInvolution(i)
-            fixed = p.fixed_points()
-            if fixed.size:
-                raise HasFixedPoint(i, int(fixed[0]))
-        points = np.arange(n_flags, dtype=DTYPE)
-        stacks = np.stack([p.images for p in perms])[_LABEL_STACKS]
-        labels = _orbit_labels(stacks, np.broadcast_to(points, (4, n_flags)))
-        if labels[3].any():
-            raise NotTransitive(int(np.count_nonzero(labels[3] == points)))
-        labels.setflags(write=False)
-        self._fill(n_flags, perms, labels[:3])
+        rows = np.stack([p.images for p in perms])
+        self._fill(rows, _face_labels(rows))
 
-    def _fill(self, n_flags: int, perms: tuple[Permutation, ...], faces: np.ndarray) -> None:
-        """Set the slots from checked data; faces holds the k-face labels."""
-        object.__setattr__(self, "n_flags", n_flags)
-        object.__setattr__(self, "h", perms)
-        object.__setattr__(self, "_hash", None)
-        object.__setattr__(self, "_faces", dict(enumerate(faces)))
-        object.__setattr__(self, "_walks", None)
-        object.__setattr__(self, "_valencies", {})
-        object.__setattr__(self, "_colorings", {})
+    def _fill(self, rows: np.ndarray, faces: np.ndarray) -> "Hypermap":
+        """Set the slots from checked (3, n_flags) generator images and k-face labels; freezes both."""
+        rows.setflags(write=False)
+        faces.setflags(write=False)
+        perms = tuple(Permutation._wrap(row) for row in rows)
+        for name, value in zip(self.__slots__, (rows.shape[1], perms, rows, None, faces, None, {}, {})):
+            object.__setattr__(self, name, value)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("Hypermap is immutable")
 
-    @property
-    def h0(self) -> Permutation:
-        return self.h[0]
-
-    @property
-    def h1(self) -> Permutation:
-        return self.h[1]
-
-    @property
-    def h2(self) -> Permutation:
-        return self.h[2]
+    h0 = property(lambda self: self.h[0])
+    h1 = property(lambda self: self.h[1])
+    h2 = property(lambda self: self.h[2])
 
     def generator_matrix(self) -> np.ndarray:
-        """(3, n_flags) array of the generator images."""
-        return np.stack([p.images for p in self.h])
+        """The read-only (3, n_flags) array of the generator images."""
+        return self._rows
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Hypermap):
@@ -165,14 +149,29 @@ class Hypermap:
         return f"<Hypermap n_flags={self.n_flags}>"
 
 
-def validate(n_flags: int, h0, h1, h2) -> Hypermap:
-    """Verify raw data as a hypermap; raises the specific violation."""
-    return Hypermap(n_flags, h0, h1, h2)
+# Verify raw data as a hypermap; raises the specific violation.
+validate = Hypermap
 
 
 # The generator stacks labelled by the constructor: the k-faces (the other
 # two generators, one twice to fill the stack), then the whole flag set.
 _LABEL_STACKS = np.array([[1, 2, 2], [0, 2, 2], [0, 1, 1], [0, 1, 2]])
+
+
+def _face_labels(rows: np.ndarray) -> np.ndarray:
+    """The k-face labels (3, n) of the bijections rows (3, n), checked row by
+    row as fixed-point-free involutions, then as transitive."""
+    points = np.arange(rows.shape[1], dtype=DTYPE)
+    twice, fixed = np.take_along_axis(rows, rows, axis=1) == points, rows == points
+    for i in range(3):
+        if not twice[i].all():
+            raise NotInvolution(i)
+        if fixed[i].any():
+            raise HasFixedPoint(i, int(fixed[i].argmax()))
+    labels = _orbit_labels(rows[_LABEL_STACKS], np.broadcast_to(points, (4, points.size)))
+    if labels[3].any():
+        raise NotTransitive(int(np.count_nonzero(labels[3] == points)))
+    return labels[:3]
 
 
 def _face_valencies(h: Hypermap, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -205,19 +204,49 @@ def euler_characteristic(h: Hypermap) -> int:
 _BIT_PARITY = np.array([0, 1, 1, 0, 1, 0, 0, 1], dtype=DTYPE)
 
 
-def _walk_parities(h: Hypermap) -> tuple[np.ndarray, np.ndarray]:
-    """(closed, walk): the parity vectors v of the closed walks at flag 0,
-    and one v of a walk from flag 0 to each flag; bit i of v is the parity
-    of the walk's number of h_i steps. Labelled once, as the orbit of (0, 0)
-    on the cover points v * n + x, where h_i sends (x, v) to (x h_i, v ^ 2**i).
-    """
-    if h._walks is None:
-        n = h.n_flags
-        v = np.arange(8, dtype=DTYPE)[:, None]
-        gens = np.stack([((v ^ (1 << i)) * n + p.images).reshape(-1) for i, p in enumerate(h.h)])
-        reach = (_orbit_labels(gens, np.arange(8 * n, dtype=DTYPE)) == 0).reshape(8, n)
-        object.__setattr__(h, "_walks", (np.flatnonzero(reach[:, 0]), reach.argmax(axis=0)))
-    return h._walks
+class _Tree(NamedTuple):
+    """Breadth-first spanning tree from point 0 of a transitive action rows
+    (3, n), with the walk parities it gives."""
+
+    levels: list[tuple[np.ndarray, np.ndarray, np.ndarray]]  # (points, parents, gens[:, None])
+    xs: np.ndarray  # the pairs (x, i) off the tree: x h_i = ys
+    gens: np.ndarray  # (pairs, 1)
+    ys: np.ndarray
+    walk: np.ndarray  # bit i of walk[x]: parity of the h_i steps on the tree path 0 -> x
+    odd: np.ndarray  # (8,) bool: some closed walk at 0 has odd weight w
+
+
+def _bfs_tree(rows: np.ndarray) -> _Tree:
+    """The tree of rows. Closed walks at 0 are products of the cycles that close
+    the pairs off the tree, whose parity vectors are walk[xs] ^ walk[ys] ^ 2**i,
+    so a weight is odd on some closed walk exactly when it is odd on one of those."""
+    lists, walk = rows.tolist(), [0] + [-1] * (rows.shape[1] - 1)  # walk[y] is -1 until reached
+    tree: list[int] = []  # point, parent, generator of each edge, level by level
+    cuts, frontier = [], [0]
+    while frontier:
+        cuts.append(len(tree) // 3)
+        for x in frontier:
+            for i, row in enumerate(lists):
+                y = row[x]
+                if walk[y] < 0:
+                    walk[y] = walk[x] ^ 1 << i
+                    tree += (y, x, i)
+        frontier = tree[3 * cuts[-1]::3]
+    edges = np.array(tree, dtype=DTYPE).reshape(-1, 3).T
+    levels = [(edges[0, s:e], edges[1, s:e], edges[2, s:e, None]) for s, e in zip(cuts, cuts[1:])]
+    off_tree = np.ones(rows.shape, dtype=bool)
+    off_tree[edges[2], edges[0]] = off_tree[edges[2], edges[1]] = False
+    gens, xs = np.nonzero(off_tree)
+    ys, walk = rows[gens, xs], np.array(walk, dtype=DTYPE)
+    odd = _BIT_PARITY[(walk[xs] ^ walk[ys] ^ 1 << gens)[:, None] & np.arange(8)].any(axis=0)
+    return _Tree(levels, xs, gens[:, None], ys, _freeze(walk), _freeze(odd))
+
+
+def _flag_tree(h: Hypermap) -> _Tree:
+    """h's tree from flag 0, built on first use."""
+    if h._tree is None:
+        object.__setattr__(h, "_tree", _bfs_tree(h._rows))
+    return h._tree
 
 
 def _parity_coloring(h: Hypermap, eps: tuple[int, int, int]) -> np.ndarray | None:
@@ -225,10 +254,9 @@ def _parity_coloring(h: Hypermap, eps: tuple[int, int, int]) -> np.ndarray | Non
     eps-weighted walk parity, defined iff all closed walks at 0 weigh even.
     Kept on h, read-only, from the first call."""
     if eps not in h._colorings:
-        closed, walk = _walk_parities(h)
+        tree = _flag_tree(h)
         weight = eps[0] | eps[1] << 1 | eps[2] << 2
-        odd = _BIT_PARITY[closed & weight].any()
-        h._colorings[eps] = None if odd else _freeze(_BIT_PARITY[walk & weight])
+        h._colorings[eps] = None if tree.odd[weight] else _freeze(_BIT_PARITY[tree.walk & weight])
     return h._colorings[eps]
 
 
@@ -268,10 +296,9 @@ def dual(h: Hypermap, sigma: tuple[int, int, int]) -> Hypermap:
     """
     if tuple(sorted(sigma)) != (0, 1, 2):
         raise ValueError(f"sigma {sigma!r} is not a permutation of (0, 1, 2)")
-    inv = [0, 0, 0]
-    for i, s in enumerate(sigma):
-        inv[s] = i
-    return Hypermap(h.n_flags, h.h[inv[0]], h.h[inv[1]], h.h[inv[2]])
+    inv = np.argsort(sigma)
+    # a dual of a valid hypermap is valid; its k-faces are h's inv[k]-faces
+    return object.__new__(Hypermap)._fill(h._rows[inv], h._faces[inv])
 
 
 def relabel(h: Hypermap, sigma: Permutation) -> Hypermap:
@@ -284,19 +311,14 @@ def relabel(h: Hypermap, sigma: Permutation) -> Hypermap:
     if sigma.degree != n:
         raise ValueError("relabeling degree mismatch")
     s = sigma.images
-    inv = np.empty_like(s)
-    inv[s] = np.arange(n, dtype=DTYPE)
-    perms = tuple(Permutation._wrap(_freeze(s[p.images[inv]])) for p in h.h)
+    inv = np.argsort(s)
     # position k * n + label of each old flag's k-face, and its least new flag
-    at = np.stack([h._faces[k] for k in range(3)]) + np.arange(0, 3 * n, n, dtype=DTYPE)[:, None]
+    at = h._faces + np.arange(0, 3 * n, n, dtype=DTYPE)[:, None]
     least = np.full(3 * n, n, dtype=DTYPE)
     np.minimum.at(least, at.reshape(-1), np.tile(s, 3))
     faces = np.empty((3, n), dtype=DTYPE)
     faces[:, s] = least[at]
-    faces.setflags(write=False)
-    out = object.__new__(Hypermap)
-    out._fill(n, perms, faces)
-    return out
+    return object.__new__(Hypermap)._fill(s[h._rows[:, inv]], faces)
 
 
 @functools.lru_cache(maxsize=64)
@@ -322,42 +344,22 @@ _EXTENSION_BLOCK = 1 << 20
 
 
 def _extensions(
-    a_rows: np.ndarray, b_rows: np.ndarray, targets: np.ndarray, grow: bool = False
+    tree: _Tree, b_rows: np.ndarray, targets: np.ndarray, grow: bool = False
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """The equivariant maps a -> b sending flag 0 to each target.
+    """The equivariant maps a -> b sending flag 0 to each target, given
+    tree, the _bfs_tree of a's generator images, and b_rows, b's (3, n_b).
 
-    a_rows and b_rows are the (3, n_a) and (3, n_b) generator images. One
-    breadth-first tree of a is built per call and filled level by level.
     Yields (psi, ok) for consecutive blocks of targets, in order, with at
     most _EXTENSION_BLOCK entries in each psi (n_a, T); with grow, for
     callers that stop at the first hit, blocks hold 1, 4, 16, ... targets
-    up to that cap. Column t is propagated along the tree from psi[0, t],
-    the block's t-th target. It is an equivariant map, psi(x h_i) = psi(x) g_i
-    on every edge, exactly when ok[t]. Such a map exists for a target if and
-    only if that column is consistent, and then it is unique. The tree edges
-    hold by construction, both ways since g_i is an involution, so ok tests
-    only the n_a + 2 other pairs (x, i).
+    up to that cap. Column t is filled level by level along the tree from
+    psi[0, t], the block's t-th target. It is an equivariant map, psi(x h_i)
+    = psi(x) g_i on every edge, exactly when ok[t]; only then does such a
+    map exist for the target, and it is unique. The tree edges hold by
+    construction, both ways since g_i is an involution, so ok tests only
+    the n_a + 2 other pairs (x, i).
     """
-    n_a = a_rows.shape[1]
-    rows = a_rows.tolist()
-    seen = [True] + [False] * (n_a - 1)
-    tree: list[int] = []  # flag, parent, generator of each edge, level by level
-    cuts, frontier = [], [0]
-    while frontier:
-        cuts.append(len(tree) // 3)
-        for x in frontier:
-            for i, row in enumerate(rows):
-                y = row[x]
-                if not seen[y]:
-                    seen[y] = True
-                    tree += (y, x, i)
-        frontier = tree[3 * cuts[-1]::3]
-    edges = np.array(tree, dtype=DTYPE).reshape(-1, 3).T
-    levels = [(edges[0, s:e], edges[1, s:e], edges[2, s:e, None]) for s, e in zip(cuts, cuts[1:])]
-    off_tree = np.ones((3, n_a), dtype=bool)
-    off_tree[edges[2], edges[0]] = off_tree[edges[2], edges[1]] = False
-    off_gens, xs = np.nonzero(off_tree)
-    ys, off_gens = a_rows[off_gens, xs], off_gens[:, None]
+    n_a = tree.walk.shape[0]
     cap = max(1, _EXTENSION_BLOCK // n_a)
     start, step = 0, 1 if grow else cap
     while start < targets.shape[0]:
@@ -365,9 +367,9 @@ def _extensions(
         start, step = start + step, min(cap, 4 * step)
         psi = np.empty((n_a, block.shape[0]), dtype=DTYPE)
         psi[0] = block
-        for flags, parents, gens in levels:
+        for flags, parents, gens in tree.levels:
             psi[flags] = b_rows[gens, psi[parents]]
-        yield psi, (psi[ys] == b_rows[off_gens, psi[xs]]).all(axis=0)
+        yield psi, (psi[tree.ys] == b_rows[tree.gens, psi[tree.xs]]).all(axis=0)
 
 
 def find_covering(a: Hypermap, b: Hypermap) -> tuple[int, ...] | None:
@@ -377,8 +379,7 @@ def find_covering(a: Hypermap, b: Hypermap) -> tuple[int, ...] | None:
     growing from one target; the first consistent extension is returned
     (surjective by transitivity), else None. A hit at target t costs O(n_a * t).
     """
-    a_rows, b_rows = a.generator_matrix(), b.generator_matrix()
-    for psi, ok in _extensions(a_rows, b_rows, np.arange(b.n_flags, dtype=DTYPE), grow=True):
+    for psi, ok in _extensions(_flag_tree(a), b._rows, np.arange(b.n_flags, dtype=DTYPE), grow=True):
         hits = np.flatnonzero(ok)
         if hits.size:
             return tuple(int(v) for v in psi[:, hits[0]])
@@ -411,15 +412,16 @@ def monodromy_group(h: Hypermap) -> FiniteGroup:
 
 
 def to_text(h: Hypermap) -> str:
-    lines = [f"hypermap {h.n_flags}"]
-    for i, p in enumerate(h.h):
-        lines.append(f"h{i}: " + " ".join(str(int(x)) for x in p.images))
-    return "\n".join(lines) + "\n"
+    rows = (f"h{i}: " + " ".join(map(str, row)) for i, row in enumerate(h._rows.tolist()))
+    return "\n".join([f"hypermap {h.n_flags}", *rows]) + "\n"
 
 
 # Whitespace and control characters other than the separators: line feed,
-# one carriage return before it, space and tab.
-_FOREIGN_SEPARATOR = re.compile(r"\r(?!\n)|(?![ \t\n\r])[\s\x00-\x1f\x7f-\x9f]")
+# one carriage return before it, space and tab. The class holds C0, DEL, C1
+# and the rest of str.isspace(); the guard passes a carriage return before a line feed.
+_FOREIGN_SEPARATOR = re.compile(
+    "[\x00-\x08\x0b-\x1f\x7f-\xa0\u1680\u2000-\u200a\u2028\u2029\u202f\u205f\u3000](?!(?<=\r)\n)"
+)
 
 
 def from_text(text: str) -> Hypermap:
@@ -448,27 +450,26 @@ def from_text(text: str) -> Hypermap:
         raise ParseError("flag count must be positive", line=head_no)
     if len(lines) != 4:
         raise ParseError(f"expected 4 lines (header plus h0/h1/h2), got {len(lines)}")
-    perms = []
+    rows = []
     for i, (line_no, line) in enumerate(lines[1:]):
         prefix = f"h{i}:"
         if not line.startswith(prefix):
             raise ParseError(f"expected line to start with {prefix!r}", line=line_no)
         fields = line[len(prefix):].split()
         if len(fields) != n_flags:
-            raise ParseError(
-                f"h{i} has {len(fields)} images, expected {n_flags}", line=line_no
-            )
+            raise ParseError(f"h{i} has {len(fields)} images, expected {n_flags}", line=line_no)
         digits = "".join(fields)
         if not (digits.isascii() and digits.isdigit()):
             raise ParseError(f"h{i} has an image that is not ASCII decimal digits", line=line_no)
         try:
-            images = [int(f) for f in fields]
+            images = list(map(int, fields))
         except ValueError:  # more digits than int() converts
             raise ParseError(f"h{i} image out of range", line=line_no) from None
         if max(images) >= n_flags:
             raise ParseError(f"h{i} image out of range", line=line_no)
-        try:
-            perms.append(Permutation(images))
-        except ValueError as exc:
-            raise ParseError(f"h{i}: {exc}", line=line_no) from None
-    return validate(n_flags, *perms)
+        # n_flags images in range: a bijection exactly when all differ
+        if len(set(images)) != n_flags:
+            raise ParseError(f"h{i}: images is not a bijection", line=line_no)
+        rows.append(images)
+    # the rows are checked bijections; Hypermap checks the rest on the matrix
+    return Hypermap(n_flags, *map(Permutation._wrap, _freeze(np.array(rows, dtype=DTYPE))))

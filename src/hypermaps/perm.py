@@ -176,8 +176,7 @@ class Permutation:
 def _as_rows(perms, degree: int | None) -> tuple[np.ndarray, int]:
     rows = []
     for p in perms:
-        img = p.images if isinstance(p, Permutation) else np.asarray(p, dtype=DTYPE)
-        rows.append(np.ascontiguousarray(img, dtype=DTYPE))
+        rows.append(np.ascontiguousarray(p.images if isinstance(p, Permutation) else p, dtype=DTYPE))
     if degree is None:
         if not rows:
             raise ValueError("degree required when no permutations are given")

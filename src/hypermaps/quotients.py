@@ -49,6 +49,7 @@ from .hypermap import (
     HypermapType,
     SurfaceClass,
     _LABEL_STACKS,
+    _bfs_tree,
     _extensions,
     _parity_coloring,
     euler_characteristic,
@@ -106,12 +107,12 @@ def _extension_conflicts(q: np.ndarray, targets: np.ndarray) -> np.ndarray:
 
     q is the (3, k) action of the generators on k classes. For each target
     class x, the equivariant map sending class 0 to x is propagated over
-    the classes; an edge whose two ends disagree yields a pair. Returns the
+    one tree of q; an edge whose two ends disagree yields a pair. Returns the
     pairs of the first block of targets yielded by _extensions that has
     any, as a (2, p) array; (2, 0) when every extension is consistent.
     """
     k = q.shape[1]
-    for psi, ok in _extensions(q, q, targets):
+    for psi, ok in _extensions(_bfs_tree(q), q, targets):
         if not ok.all():
             psi = psi[:, ~ok]
             lhs = psi[q]  # psi(c h_i)

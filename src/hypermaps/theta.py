@@ -21,7 +21,7 @@ import numpy as np
 
 from ._kernels import DTYPE
 from .errors import NotBipartite, NotConservative
-from .hypermap import Hypermap, _extensions, _face_valencies, _parity_coloring
+from .hypermap import Hypermap, _extensions, _face_valencies, _flag_tree, _parity_coloring
 from .perm import FiniteGroup, Permutation, _freeze, _group_from_rows
 
 __all__ = [
@@ -53,7 +53,7 @@ class ParityVector:
         if self.eps == (0, 0, 0):
             raise ValueError("the all-zero vector induces no 2-coloring")
 
-    @property
+    @functools.cached_property
     def bits(self) -> str:
         return "".join(str(e) for e in self.eps)
 
@@ -116,11 +116,10 @@ def _stab_matched_flags(h: Hypermap) -> np.ndarray:
 
     A flag x is matched exactly when the equivariant extension 0 -> x is
     consistent (equivalently, when x's monodromy stabilizer equals flag
-    0's); all flags are tested together, over one spanning tree.
+    0's); all flags are tested together, over h's tree from flag 0.
     """
-    rows = h.generator_matrix()
     targets = np.arange(h.n_flags, dtype=DTYPE)
-    mask = np.concatenate([ok for _, ok in _extensions(rows, rows, targets)])
+    mask = np.concatenate([ok for _, ok in _extensions(_flag_tree(h), h.generator_matrix(), targets)])
     mask.setflags(write=False)
     return mask
 
@@ -130,8 +129,8 @@ def _automorphism_group(h: Hypermap, targets: np.ndarray) -> FiniteGroup:
 
     targets must be matched flags, listed with flag 0 first.
     """
-    rows = h.generator_matrix()
-    matrix = np.concatenate([psi.T for psi, _ in _extensions(rows, rows, targets.astype(DTYPE))])
+    blocks = _extensions(_flag_tree(h), h.generator_matrix(), targets.astype(DTYPE))
+    matrix = np.concatenate([psi.T for psi, _ in blocks])
     gens = tuple(Permutation._wrap(_freeze(row)) for row in matrix)
     return _group_from_rows(h.n_flags, gens, matrix)
 

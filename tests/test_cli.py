@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from hypermaps import are_isomorphic, build_platonic, build_Pn, dual, from_text, perm, quotients
+from hypermaps import HypermapsError, are_isomorphic, build_platonic, build_Pn, dual, from_text, perm, quotients
 from hypermaps.catalog.cli import _build_parser, main
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -253,6 +253,30 @@ class TestAnalyze:
         proc = run_module(["analyze"], stdin=doc.encode())
         assert_parse_error_exit(proc)
         assert proc.stderr.decode().startswith(f"ParseError: line {line}: character U+{ord(new):04X}")
+
+    @pytest.mark.parametrize(
+        "h0, h1, h2, error",
+        [
+            ("1 0 3 2", "1 1 3 2", "2 3 0 1", "ParseError: line 4: h1: images is not a bijection"),
+            ("1 0 3 2", "1 2 3 0", "2 3 0 1", "NotInvolution: h1 is not an involution"),
+            ("1 0 3 2", "1 0 3 2", "1 0 2 3", "HasFixedPoint: h2 fixes flag 2"),
+            ("0 2 3 1", "1 0 3 2", "2 3 0 1", "NotInvolution: h0 is not an involution"),
+            ("0 1 3 2", "1 2 3 0", "2 3 0 1", "HasFixedPoint: h0 fixes flag 0"),
+            ("1 2 3 0", "1 0 3 2", "1 0 2 3", "NotInvolution: h0 is not an involution"),
+            ("1 0 3 2", "1 1 3 2", "2 2 0 1", "ParseError: line 4: h1: images is not a bijection"),
+            ("1 0 3 2", "1 1 3 2", "2 3 0 4", "ParseError: line 4: h1: images is not a bijection"),
+            ("1 0 3 2", "1 0 3 4", "2 2 0 1", "ParseError: line 4: h1 image out of range"),
+            # every row parses before any is checked as an involution
+            ("1 2 3 0", "1 0 3 2", "2 2 0 1", "ParseError: line 5: h2: images is not a bijection"),
+        ],
+    )
+    def test_intake_errors_in_row_order(self, h0, h1, h2, error):
+        # the earliest failing row names the error, parse errors first
+        doc = f"hypermap 4\n\nh0: {h0}\nh1: {h1}\nh2: {h2}\n"
+        with pytest.raises(HypermapsError) as exc:
+            from_text(doc)
+        assert f"{type(exc.value).__name__}: {exc.value}" == error
+        assert run_cli(["analyze"], stdin_text=doc) == (3, "", error + "\n")
 
     def test_crlf_document_is_analyzed(self):
         doc = build_text("T")

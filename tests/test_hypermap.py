@@ -1,6 +1,7 @@
 """Hypermap core: validation, faces, surfaces, duality, isomorphism, coverings."""
 
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -33,7 +34,7 @@ from hypermaps import (
     valencies,
     validate,
 )
-from hypermaps import _kernels
+from hypermaps import _kernels, hypermap
 from hypermaps.build import (
     build_Dn,
     build_Mk,
@@ -138,13 +139,14 @@ class TestKFaces:
             k_faces(build_Dn(2), 3)
 
     def test_relabel_carries_the_faces(self, catalog):
-        # each k-face keeps its flags, renamed, and its least new flag as label
+        # each k-face keeps its flags, renamed, and its least new flag as label;
+        # a dual's k-faces are h's sigma^-1(k)-faces
         rng = np.random.default_rng(7)
         for _, h in catalog[::4]:
-            moved = relabel(h, Permutation(rng.permutation(h.n_flags)))
-            fresh = validate(moved.n_flags, *moved.h)
-            for k in range(3):
-                assert k_faces(moved, k) == k_faces(fresh, k)
+            for moved in (relabel(h, Permutation(rng.permutation(h.n_flags))), *six_duals(h)):
+                fresh = validate(moved.n_flags, *moved.h)
+                for k in range(3):
+                    assert k_faces(moved, k) == k_faces(fresh, k)
 
 
 class TestKeptData:
@@ -153,7 +155,33 @@ class TestKeptData:
 
     def test_constructor_keeps_nothing_yet(self):
         h = from_text(to_text(build_named("pin(T)")))
-        assert h._valencies == {} and h._colorings == {}
+        assert h._valencies == {} and h._colorings == {} and h._tree is None
+
+    def test_generator_matrix_is_one_read_only_array(self):
+        h = from_text(to_text(build_named("pin(T)")))
+        rows = h.generator_matrix()
+        assert h.generator_matrix() is rows and rows.shape == (3, h.n_flags)
+        with pytest.raises(ValueError):
+            rows[0, 0] = 1
+        for p, row in zip(h.h, rows):
+            assert p.images.base is rows and np.array_equal(p.images, row)
+        for derived in (dual(h, (1, 0, 2)), relabel(h, Permutation(np.roll(np.arange(h.n_flags), 1)))):
+            assert derived.generator_matrix() is derived.generator_matrix()
+            assert not derived.generator_matrix().flags.writeable
+
+    def test_text_intake_builds_no_permutation(self, monkeypatch):
+        # rows are checked once, as text, then as one matrix
+        text = to_text(build_named("wal(pin(D))"))
+        built = []
+        init = Permutation.__init__
+
+        def spy_init(self, images):
+            built.append(len(images))
+            init(self, images)
+
+        monkeypatch.setattr(Permutation, "__init__", spy_init)
+        h = from_text(text)
+        assert built == [] and to_text(h) == text
 
     def test_valencies_are_kept_read_only(self):
         h = from_text(to_text(build_named("pin(T)")))
@@ -593,6 +621,44 @@ class TestSerialization:
         with pytest.raises(ParseError, match="is not a separator") as exc:
             from_text(text)
         assert exc.value.line == line
+
+    # The separator rule as a lookahead pattern, the reference for the
+    # character class in from_text.
+    REFERENCE_SEPARATOR = re.compile(r"\r(?!\n)|(?![ \t\n\r])[\s\x00-\x1f\x7f-\x9f]")
+
+    def test_separator_class_matches_reference_on_every_code_point(self):
+        # Both patterns look one character ahead at most, so matching every
+        # position of a string that repeats a context around each code point
+        # gives the first match of each context on its own.
+        every = "".join(map(chr, range(0x110000)))
+        contexts = {
+            "a{c}b": "a" + "ba".join(every) + "b",
+            "a{c}\\n": "a" + "\na".join(every) + "\n",
+            "{c}": every,
+            "{c}\\r and \\r{c}": "\r" + "\r".join(every) + "\r",
+        }
+        for name, text in contexts.items():
+            found = [m.start() for m in hypermap._FOREIGN_SEPARATOR.finditer(text)]
+            assert found == [m.start() for m in self.REFERENCE_SEPARATOR.finditer(text)], name
+        # the last character of a text: only a carriage return looks ahead
+        for c in ("\r", "\n", " ", "\t", "a", "\x85", "\u3000"):
+            for text in (c, c + "\r", "\r" + c, "a" + c):
+                ours, ref = (p.search(text) for p in (hypermap._FOREIGN_SEPARATOR, self.REFERENCE_SEPARATOR))
+                assert (ours and ours.start()) == (ref and ref.start()), repr(text)
+
+    @pytest.mark.parametrize("c", ["\r", "\x0b", "\x85", "\xa0", "\u2028", "\u3000", "\x00", "\x7f"])
+    def test_separator_error_names_the_reference_line_in_crlf_documents(self, c):
+        from hypermaps import ParseError
+
+        crlf = to_text(build_Dn(3)).replace("\n", "\r\n")
+        assert from_text(crlf) == build_Dn(3)
+        for at in range(0, len(crlf) + 1, 3):
+            text = crlf[:at] + c + crlf[at:]
+            ref = self.REFERENCE_SEPARATOR.search(text)
+            with pytest.raises(ParseError, match="is not a separator") as exc:
+                from_text(text)
+            assert exc.value.line == text.count("\n", 0, ref.start()) + 1
+            assert str(exc.value).endswith(f"U+{ord(ref.group()):04X} is not a separator")
 
     def test_crlf_and_tabs_parse(self):
         h = build_Dn(2)

@@ -41,7 +41,7 @@ from hypermaps._kernels import DTYPE
 from hypermaps.build import build_Dn, build_Mk, build_platonic, build_Pn, pin, walsh
 from hypermaps.catalog import build_named, verify_table1, verify_table2, verify_table3, verify_theorem_mk
 from hypermaps.catalog.oracle import fixed_point_free_involutions
-from hypermaps.hypermap import _extensions, monodromy_group
+from hypermaps.hypermap import _bfs_tree, _extensions, monodromy_group
 from hypermaps.quotients import (
     QuotientSummary,
     _closure_action,
@@ -318,7 +318,7 @@ class TestOffTreeExtensionCheck:
 
     @staticmethod
     def assert_matches_full_check(a, b, grow, reference=True):
-        blocks = list(_extensions(a, b, np.arange(b.shape[1], dtype=DTYPE), grow=grow))
+        blocks = list(_extensions(_bfs_tree(a), b, np.arange(b.shape[1], dtype=DTYPE), grow=grow))
         psi = np.concatenate([psi for psi, _ in blocks], axis=1)
         ok = np.concatenate([ok for _, ok in blocks])
         full = np.all([psi[a[i]] == b[i][psi] for i in range(3)], axis=(0, 1))
@@ -612,10 +612,10 @@ class TestAnalyze:
             built.append(args[0])
             init(self, *args)
 
-        def spy_extensions(a_rows, b_rows, targets, grow=False):
+        def spy_extensions(tree, b_rows, targets, grow=False):
             if targets.shape[0] == b_rows.shape[1]:
                 all_targets.append(targets.shape[0])
-            return _extensions(a_rows, b_rows, targets, grow)
+            return _extensions(tree, b_rows, targets, grow)
 
         monkeypatch.setattr(Hypermap, "__init__", spy_init)
         for module in (hypermap, theta, quotients):
@@ -626,6 +626,23 @@ class TestAnalyze:
         assert report.regular and report.closure_cover.flags == report.flags == 24
         assert built == [24]
         assert all_targets == [24]
+
+    @pytest.mark.parametrize("name", ["P6", "pin(T)", "wal(D)", "D6", "M4", "pin(dual01(D))"])
+    def test_analysis_builds_one_tree_per_hypermap(self, monkeypatch, name):
+        # parities, automorphisms and Upsilon all read the one tree from flag 0
+        h = from_text(to_text(build_named(name)))
+        trees = []
+        real = hypermap._bfs_tree
+
+        def spy(rows):
+            trees.append(rows is h.generator_matrix())
+            return real(rows)
+
+        monkeypatch.setattr(hypermap, "_bfs_tree", spy)
+        theta._stab_matched_flags.cache_clear()
+        _stab_and_closure.cache_clear()
+        analyze(h)
+        assert trees == [True]
 
     def test_doubled_pin_tetrahedron_fits_in_memory(self):
         # |Mon| = 331776: a normal closure over the group ran out of memory
