@@ -3,8 +3,8 @@
 Exit codes: 0 success (and all-match for verifiers), 1 usage error,
 2 verification mismatch or search counterexample, 3 invalid input
 (unparseable document, or an input violating an operation's precondition),
-4 an explicit budget ran out (LimitExceeded: a coset, chain-work or
-group-order limit).
+4 an explicit budget ran out (LimitExceeded: a coset or chain-work
+limit).
 """
 
 from __future__ import annotations

@@ -220,16 +220,18 @@ def _bfs_tree(rows: np.ndarray) -> _Tree:
     """The tree of rows. Closed walks at 0 are products of the cycles that close
     the pairs off the tree, whose parity vectors are walk[xs] ^ walk[ys] ^ 2**i,
     so a weight is odd on some closed walk exactly when it is odd on one of those."""
-    lists, walk = rows.tolist(), [0] + [-1] * (rows.shape[1] - 1)  # walk[y] is -1 until reached
+    steps = [(row, 1 << i, i) for i, row in enumerate(rows.tolist())]
+    walk = [0] + [-1] * (rows.shape[1] - 1)  # walk[y] is -1 until reached
     tree: list[int] = []  # point, parent, generator of each edge, level by level
     cuts, frontier = [], [0]
     while frontier:
         cuts.append(len(tree) // 3)
         for x in frontier:
-            for i, row in enumerate(lists):
+            parity = walk[x]
+            for row, bit, i in steps:
                 y = row[x]
                 if walk[y] < 0:
-                    walk[y] = walk[x] ^ 1 << i
+                    walk[y] = parity ^ bit
                     tree += (y, x, i)
         frontier = tree[3 * cuts[-1]::3]
     edges = np.array(tree, dtype=DTYPE).reshape(-1, 3).T

@@ -10,9 +10,9 @@ For a hypermap with monodromy group G acting on the flags:
   without building it;
 * the closure cover is the quotient of G by the normal closure of a flag
   stabilizer, the largest regular hypermap the original covers. Its flag
-  classes come from congruence closure on the flags, with no group: the
-  coset-coincidence union-find of coset enumeration (Holt, Eick &
-  O'Brien, Handbook of Computational Group Theory, 2005, ch. 5). When a
+  classes come from closing flag pairs under the generators, with no
+  group: the coset-coincidence union-find of coset enumeration (Holt, Eick
+  & O'Brien, Handbook of Computational Group Theory, 2005, ch. 5). When a
   generator acts trivially on them the quotient is no hypermap and
   closure_cover() raises Degenerate. analyze() derives its flags, type
   and genus from the generators' action on the classes, without building
@@ -22,12 +22,13 @@ For a hypermap with monodromy group G acting on the flags:
   group Upsilon whose isomorphism type refines the index.
 
 _stab_and_closure is the one record of these per hypermap: the closure
-classes and |G|, by one of two group-free paths. When the automorphisms
-have at most two flag orbits, the classes are a congruence fixpoint and
-|G| is read off them; otherwise |G| and the generators of the flag-0
-stabilizer come from one Schreier–Sims chain (perm.schreier_sims), and the
-classes from those generators. Upsilon is read off the automorphisms, so
-no analysis enumerates a group.
+classes and |G|, closed from the generators of the flag-0 stabilizer,
+which come by one of two group-free paths. When the automorphisms have at
+most two flag orbits, one extension from flag 0 along h's tree gives its
+Schreier generators on the edges off the tree, and |G| is read off the
+classes; otherwise |G| and the generators come from one Schreier–Sims
+chain (perm.schreier_sims). Upsilon is read off the automorphisms, so no
+analysis enumerates a group.
 
 analyze() bundles the classification data for one hypermap into a report
 without listing the automorphism group, so it stays usable on inputs whose
@@ -49,8 +50,8 @@ from .hypermap import (
     HypermapType,
     SurfaceClass,
     _LABEL_STACKS,
-    _bfs_tree,
     _extensions,
+    _flag_tree,
     _parity_coloring,
     euler_characteristic,
     is_uniform,
@@ -102,28 +103,6 @@ def covering_core(h: Hypermap) -> Hypermap:
     return Hypermap(group.order, *_row_index(group.matrix, h.generator_matrix()[:, group.matrix]))
 
 
-def _extension_conflicts(q: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """Class pairs that every regular quotient of q must identify.
-
-    q is the (3, k) action of the generators on k classes. For each target
-    class x, the equivariant map sending class 0 to x is propagated over
-    one tree of q; an edge whose two ends disagree yields a pair. Returns the
-    pairs of the first block of targets yielded by _extensions that has
-    any, as a (2, p) array; (2, 0) when every extension is consistent.
-    """
-    k = q.shape[1]
-    for psi, ok in _extensions(_bfs_tree(q), q, targets):
-        if not ok.all():
-            psi = psi[:, ~ok]
-            lhs = psi[q]  # psi(c h_i)
-            rhs = q[:, psi]  # psi(c) h_i
-            bad = lhs != rhs
-            # return_index: a plain np.unique imports numpy.ma on first use
-            pairs = np.unique(lhs[bad].astype(np.int64) * k + rhs[bad], return_index=True)[0]
-            return np.stack(np.divmod(pairs, k)).astype(DTYPE)
-    return np.empty((2, 0), dtype=DTYPE)
-
-
 def _merge(q: np.ndarray, pairs: np.ndarray) -> np.ndarray:
     """Root of each class after joining the pairs and closing under q.
 
@@ -158,53 +137,53 @@ def _stab_and_closure(h: Hypermap) -> tuple[np.ndarray, int]:
     The classes are the orbits of the normal closure N of the flag-0
     stabilizer S in the monodromy group; flag 0 is in class 0 and classes
     are numbered by first appearance. Computed without enumerating the
-    group, by congruence closure, in one of two ways.
+    group, by closing flag pairs under h0, h1, h2. A partition so closed is
+    a block system of Mon. If it joins every flag x with x s for s in S, S
+    maps every block to itself, so S, and hence N, lies in the kernel of
+    Mon's action on the blocks, and each N-orbit lies in one block. The
+    N-orbits are such a block system themselves (N is normal and contains
+    S), so when every pair lies in one N-orbit they are the closure.
 
-    When Aut has at most two flag orbits (2 |Aut| >= n): from the discrete
-    partition, every extension conflict of class 0 -> x is merged, then the
-    partition is closed under h0, h1, h2, until every extension is
-    consistent. Each merge is forced, because a regular quotient has an
-    automorphism sending class 0 to any class; so the fixpoint is the
-    largest regular quotient. On the discrete partition only the flags
-    _stab_matched_flags leaves unmatched can conflict, so a regular h is
-    its own closure cover. Here |Mon| = n |C0|, for flag 0's class C0. Each
-    Aut orbit is a block of Mon; S is the kernel of Mon's action on the
-    orbit O of flag 0, and that action is regular. So N is S S^t (t
-    swapping the blocks), and C0 = 0 S^t, which gives |C0| = |S|. The deck
-    group (automorphisms sending 0 into C0) is the centralizer of S^t
-    acting regularly on C0, so it is isomorphic to S.
+    When Aut has at most two flag orbits (2 |Aut| >= n), the pairs come
+    from one extension along h's tree from flag 0, to the first flag t that
+    no automorphism reaches; a regular h has none, and is its own closure
+    cover. Aut acts semiregularly, so its orbits are O, holding 0, and at
+    most one other, O'; each is a block of Mon, every flag of O has
+    stabilizer S and every flag of O' one stabilizer S', so N = <S, S'>.
+    The extension sends 0 w to t w for each tree word w; an edge x h_i = y
+    off the tree pairs t w_y with t w_x h_i = t s w_y, in one N-orbit,
+    where s = w_x h_i w_y^-1 runs over the Schreier generators of S (Holt,
+    Eick & O'Brien, Handbook of Computational Group Theory, 2005, 4.1).
+    Closed under the generators these give t ~ t s, so p ~ p S on O' and
+    p ~ p S' on O; S fixes O pointwise, so every flag p is joined with
+    p S. Here |Mon| = n |C0|, for flag 0's class C0: S is the kernel of
+    Mon's action on O, which is regular, so N = S S^g (g swapping the
+    blocks) and C0 = 0 S^g, giving |C0| = |S|. The deck group
+    (automorphisms sending 0 into C0) is the centralizer of S^g acting
+    regularly on C0, so it is isomorphic to S.
 
-    Otherwise: |Mon| and the generators s of S from one Schreier–Sims
-    chain, and the closure of the pairs (x, x s). A partition closed under
-    h0, h1, h2 is a block system of Mon. If each S-orbit lies in one block,
-    S maps every block to itself (it moves each point within its S-orbit),
-    so S, and hence N, lies in the kernel of Mon's action on the blocks,
-    and each N-orbit lies in one block. The N-orbits are such a block
-    system themselves (N is normal and contains S), so they are the finest
-    one.
+    Otherwise |Mon| and the generators s of S come from one Schreier–Sims
+    chain, and the pairs are (x, x s) for every flag x.
     """
     rows = h.generator_matrix()
     matched = _stab_matched_flags(h)
+    order = None
     if 2 * int(matched.sum()) >= h.n_flags:
-        labels = np.arange(h.n_flags, dtype=DTYPE)
-        targets = np.flatnonzero(~matched).astype(DTYPE)
-        while targets.size:
-            _, reps = np.unique(labels, return_index=True)
-            q = labels[rows[:, reps]]
-            pairs = _extension_conflicts(q, targets)
-            if not pairs.size:
-                break
-            # roots are the least merged class, so their order is first appearance
-            labels = np.unique(_merge(q, pairs)[labels], return_inverse=True)[1].astype(DTYPE)
-            targets = np.arange(int(labels.max()) + 1, dtype=DTYPE)
-        order = h.n_flags * int(np.count_nonzero(labels == 0))
+        tree = _flag_tree(h)
+        pairs = np.empty((2, 0), dtype=DTYPE)
+        for psi, _ in _extensions(tree, rows, np.flatnonzero(~matched)[:1].astype(DTYPE)):
+            lhs, rhs = psi[tree.ys], rows[tree.gens, psi[tree.xs]]
+            bad = lhs != rhs
+            pairs = np.stack([lhs[bad], rhs[bad]])
     else:
         order, stab = schreier_sims(h.h, h.n_flags)
         points = np.broadcast_to(np.arange(h.n_flags, dtype=DTYPE), stab.shape)
-        # roots are the least flag of each class, so their order is first appearance
-        roots = _merge(rows, np.stack([points.ravel(), stab.ravel()]))
-        labels = np.unique(roots, return_inverse=True)[1].astype(DTYPE)
+        pairs = np.stack([points.ravel(), stab.ravel()])
+    # roots are the least flag of each class, so their order is first appearance
+    labels = np.unique(_merge(rows, pairs), return_inverse=True)[1].astype(DTYPE)
     labels.setflags(write=False)
+    if order is None:
+        order = h.n_flags * int(np.count_nonzero(labels == 0))
     return labels, order
 
 
