@@ -6,9 +6,10 @@ Inputs are coerced to contiguous DTYPE arrays; outputs are DTYPE arrays.
       (as in plantri, Brinkmann & McKay 2007), the certificate behind
       canonical_form; the searches of all (triple, start) instances advance
       one head at a time. canonical_code is the one-triple form.
-  _orbit_labels -- least point of each orbit, for many generator sets at
-      once; every orbit and face in the package, and the oracle's orbits
-      of triples under the centralizer of h0.
+  _pair_orbit_labels -- least point of each orbit of two fixed-point-free
+      involutions, for many pairs at once: every k-face in the package.
+  _orbit_labels -- the same for any generator sets: permutation orbits,
+      the oracle's centralizer orbits and the scan's transitivity test.
   spherical_triples -- the transitive, Euler-characteristic-2 involution
       triples (brute-force oracle): orbit labels filter the m**2 triples
       whose h0 is the standard pairing, and a table of conjugates relabels
@@ -135,6 +136,22 @@ def _orbit_labels(gens: np.ndarray, lab: np.ndarray) -> np.ndarray:
         flat = new
 
 
+def _pair_orbit_labels(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Least point of each orbit of <x, y>, for stacks x, y (..., n) of one
+    shape of fixed-point-free involutions. An orbit is a cycle of xy and its
+    image under x, another cycle (x reflecting a cycle, x or y would fix a
+    point), so its least point is the least min(p, p x) over p's cycle of
+    at most n/2 points: r doublings along xy cover 2**r of them."""
+    at = np.arange(0, x.size, x.shape[-1], dtype=DTYPE).reshape(x.shape[:-1] + (1,))
+    flat_x = (x + at).ravel()
+    step = (y + at).ravel()[flat_x]
+    lab = np.minimum(np.arange(x.size, dtype=DTYPE), flat_x)
+    for _ in range((x.shape[-1] // 2 - 1).bit_length()):
+        lab = np.minimum(lab, lab[step])
+        step = step[step]
+    return lab.reshape(x.shape) - at
+
+
 def _row_index(table: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Index in table (m, n) of each row of rows (..., n), both DTYPE arrays,
     keyed by the rows' bytes.
@@ -199,8 +216,7 @@ def spherical_triples(invs: np.ndarray) -> np.ndarray:
     conj, std = _conjugation_table(invs)
     points = np.arange(n, dtype=DTYPE)
     # labels[a, b], counts[a, b]: orbit labels and orbit count of <invs[a], invs[b]>
-    pairs = np.stack(np.broadcast_arrays(invs[:, None], invs[None, :]), axis=2)
-    labels = _orbit_labels(pairs, np.broadcast_to(points, (m, m, n)))
+    labels = _pair_orbit_labels(*np.broadcast_arrays(invs[:, None], invs[None, :]))
     counts = (labels == points).sum(axis=-1)
     # V + E + F with V from (j,k), E from (std,k), F from (std,j)
     jk = np.argwhere(counts + counts[std] + counts[std, :, None] == n // 2 + 2)

@@ -7,12 +7,12 @@ generators other than h_k; a face's valency is half its orbit size. The
 base flag is index 0 everywhere a distinguished flag is needed.
 
 Values are immutable and hashable. Each keeps one read-only (3, n_flags)
-generator matrix, which h.h wraps, and labels its k-faces once, when checked
-for transitivity. From first use it keeps its face valencies, parity
-colorings and one breadth-first tree from flag 0, which gives the walk
-parities and spans every equivariant extension from flag 0. The monodromy
-group is memoized for the four most recently used hypermaps only, since one
-group can hold hundreds of megabytes.
+generator matrix, which h.h wraps, its k-face labels and one breadth-first
+tree from flag 0: the transitivity check, which gives the walk parities and
+spans every equivariant extension from flag 0 (duals and relabellings build
+theirs on first use). From first use it keeps its face valencies and parity
+colorings. The monodromy group is memoized for the four most recently used
+hypermaps only, since one group can hold hundreds of megabytes.
 """
 
 from __future__ import annotations
@@ -27,9 +27,9 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _kernels
-from ._kernels import DTYPE, _orbit_labels
+from ._kernels import DTYPE, _pair_orbit_labels
 from .errors import HasFixedPoint, NotInvolution, NotTransitive, ParseError
-from .perm import FiniteGroup, Permutation, _freeze, _orbit_tuples, generate_group
+from .perm import FiniteGroup, Permutation, _freeze, _orbit_tuples, generate_group, orbits
 
 __all__ = [
     "Hypermap",
@@ -112,15 +112,16 @@ class Hypermap:
         for i, p in enumerate(perms):
             if p.degree != n_flags:
                 raise ValueError(f"h{i} has degree {p.degree}, expected {n_flags}")
-        rows = np.stack([p.images for p in perms])
-        self._fill(rows, _face_labels(rows))
+        rows = np.array([p.images for p in perms])
+        self._fill(rows, _face_labels(rows), _bfs_tree(rows))
 
-    def _fill(self, rows: np.ndarray, faces: np.ndarray) -> "Hypermap":
-        """Set the slots from checked (3, n_flags) generator images and k-face labels; freezes both."""
+    def _fill(self, rows: np.ndarray, faces: np.ndarray, tree: "_Tree | None" = None) -> "Hypermap":
+        """Set the slots from checked (3, n_flags) generator images, k-face
+        labels and tree (None: built on first use); freezes both arrays."""
         rows.setflags(write=False)
         faces.setflags(write=False)
         perms = tuple(Permutation._wrap(row) for row in rows)
-        for name, value in zip(self.__slots__, (rows.shape[1], perms, rows, None, faces, None, {}, {})):
+        for name, value in zip(self.__slots__, (rows.shape[1], perms, rows, None, faces, tree, {}, {})):
             object.__setattr__(self, name, value)
         return self
 
@@ -153,25 +154,16 @@ class Hypermap:
 validate = Hypermap
 
 
-# The generator stacks labelled by the constructor: the k-faces (the other
-# two generators, one twice to fill the stack), then the whole flag set.
-_LABEL_STACKS = np.array([[1, 2, 2], [0, 2, 2], [0, 1, 1], [0, 1, 2]])
-
-
 def _face_labels(rows: np.ndarray) -> np.ndarray:
     """The k-face labels (3, n) of the bijections rows (3, n), checked row by
-    row as fixed-point-free involutions, then as transitive."""
+    row as fixed-point-free involutions."""
     points = np.arange(rows.shape[1], dtype=DTYPE)
-    twice, fixed = np.take_along_axis(rows, rows, axis=1) == points, rows == points
-    for i in range(3):
+    twice, fixed = rows[[[0], [1], [2]], rows] == points, rows == points
+    for i in np.flatnonzero((fixed | ~twice).any(axis=1))[:1].tolist():  # the first bad row
         if not twice[i].all():
             raise NotInvolution(i)
-        if fixed[i].any():
-            raise HasFixedPoint(i, int(fixed[i].argmax()))
-    labels = _orbit_labels(rows[_LABEL_STACKS], np.broadcast_to(points, (4, points.size)))
-    if labels[3].any():
-        raise NotTransitive(int(np.count_nonzero(labels[3] == points)))
-    return labels[:3]
+        raise HasFixedPoint(i, int(fixed[i].argmax()))
+    return _pair_orbit_labels(rows[[1, 0, 0]], rows[[2, 2, 1]])
 
 
 def _face_valencies(h: Hypermap, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -217,9 +209,9 @@ class _Tree(NamedTuple):
 
 
 def _bfs_tree(rows: np.ndarray) -> _Tree:
-    """The tree of rows. Closed walks at 0 are products of the cycles that close
-    the pairs off the tree, whose parity vectors are walk[xs] ^ walk[ys] ^ 2**i,
-    so a weight is odd on some closed walk exactly when it is odd on one of those."""
+    """The tree of rows, else NotTransitive. Closed walks at 0 are products of the
+    cycles that close the pairs off the tree, whose parity vectors are walk[xs] ^
+    walk[ys] ^ 2**i, so a weight is odd on some closed walk iff on one of those."""
     steps = [(row, 1 << i, i) for i, row in enumerate(rows.tolist())]
     walk = [0] + [-1] * (rows.shape[1] - 1)  # walk[y] is -1 until reached
     tree: list[int] = []  # point, parent, generator of each edge, level by level
@@ -234,6 +226,8 @@ def _bfs_tree(rows: np.ndarray) -> _Tree:
                     walk[y] = parity ^ bit
                     tree += (y, x, i)
         frontier = tree[3 * cuts[-1]::3]
+    if len(tree) < 3 * (len(walk) - 1):
+        raise NotTransitive(len(orbits(rows, len(walk))))
     edges = np.array(tree, dtype=DTYPE).reshape(-1, 3).T
     levels = [(edges[0, s:e], edges[1, s:e], edges[2, s:e, None]) for s, e in zip(cuts, cuts[1:])]
     off_tree = np.ones(rows.shape, dtype=bool)
@@ -245,7 +239,7 @@ def _bfs_tree(rows: np.ndarray) -> _Tree:
 
 
 def _flag_tree(h: Hypermap) -> _Tree:
-    """h's tree from flag 0, built on first use."""
+    """h's tree from flag 0: the constructor's, else built on first use."""
     if h._tree is None:
         object.__setattr__(h, "_tree", _bfs_tree(h._rows))
     return h._tree

@@ -42,14 +42,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import DTYPE, _orbit_labels, _row_index
+from ._kernels import DTYPE, _pair_orbit_labels, _row_index
 from .build import _class_arrays
 from .errors import Degenerate, NotBipartite, NotBipartiteRegular
 from .hypermap import (
     Hypermap,
     HypermapType,
     SurfaceClass,
-    _LABEL_STACKS,
     _extensions,
     _flag_tree,
     _parity_coloring,
@@ -272,8 +271,9 @@ def core_summary(h: Hypermap) -> QuotientSummary:
     order of a product of two generators in Mon, and its k-faces number
     |Mon| over twice those orders. It covers h, so it is orientable when h
     is, and is h when |Mon| = n; otherwise it is orientable exactly when
-    the even words <h0 h1, h1 h2> have index 2 in Mon, their order coming
-    from a second Schreier–Sims chain.
+    the even words <h0 h1, h1 h2> have index 2 in Mon: always when n = 2
+    mod 4, each h_i being then n/2 transpositions, odd, and the even words
+    in A_n; else as a second Schreier–Sims chain finds.
     """
     order = _stab_and_closure(h)[1]
     t = type_of(h)
@@ -281,7 +281,7 @@ def core_summary(h: Hypermap) -> QuotientSummary:
     orientable = _parity_coloring(h, (1, 1, 1)) is not None
     if not orientable and order > h.n_flags:
         h0, h1, h2 = h.h
-        orientable = 2 * schreier_sims((h0 * h1, h1 * h2), h.n_flags)[0] == order
+        orientable = h.n_flags % 4 == 2 or 2 * schreier_sims((h0 * h1, h1 * h2), h.n_flags)[0] == order
     return QuotientSummary(
         flags=order, type=t, genus=SurfaceClass.from_characteristic(chi, orientable).genus
     )
@@ -303,7 +303,7 @@ def _closure_summary(h: Hypermap) -> QuotientSummary | None:
     points = np.arange(count, dtype=DTYPE)
     if (q == points).all(axis=1).any():
         return None
-    faces = _orbit_labels(q[_LABEL_STACKS[:3]], np.broadcast_to(points, (3, count)))
+    faces = _pair_orbit_labels(q[[1, 0, 0]], q[[2, 2, 1]])
     face_counts = np.count_nonzero(faces == points, axis=1).tolist()
     chi = sum(face_counts) - count // 2
     orientable = _parity_coloring(h, (1, 1, 1)) is not None

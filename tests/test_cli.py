@@ -268,11 +268,18 @@ class TestAnalyze:
             ("1 0 3 2", "1 0 3 4", "2 2 0 1", "ParseError: line 4: h1 image out of range"),
             # every row parses before any is checked as an involution
             ("1 2 3 0", "1 0 3 2", "2 2 0 1", "ParseError: line 5: h2: images is not a bijection"),
+            # every row is checked as an involution before the action as transitive
+            ("1 0 3 2", "1 0 3 2", "1 2 3 0", "NotInvolution: h2 is not an involution"),
+            ("1 0 3 2", "1 0 3 2", "0 1 3 2", "HasFixedPoint: h2 fixes flag 0"),
+            ("1 0 3 2", "1 0 3 2", "1 0 3 2", "NotTransitive: action has 2 orbits, expected 1"),
+            ("1 0 3 2 5 4", "1 0 4 5 2 3", "1 0 3 2 5 4", "NotTransitive: action has 2 orbits, expected 1"),
+            ("1 0 3 2 5 4", "1 0 3 2 5 4", "1 0 3 2 5 4", "NotTransitive: action has 3 orbits, expected 1"),
+            ("1 0 3 2 5 4", "2 3 0 1 5 4", "1 0 3 2 5 4", "NotTransitive: action has 2 orbits, expected 1"),
         ],
     )
     def test_intake_errors_in_row_order(self, h0, h1, h2, error):
         # the earliest failing row names the error, parse errors first
-        doc = f"hypermap 4\n\nh0: {h0}\nh1: {h1}\nh2: {h2}\n"
+        doc = f"hypermap {len(h0.split())}\n\nh0: {h0}\nh1: {h1}\nh2: {h2}\n"
         with pytest.raises(HypermapsError) as exc:
             from_text(doc)
         assert f"{type(exc.value).__name__}: {exc.value}" == error

@@ -154,8 +154,10 @@ class TestKeptData:
     first use, and handed out read-only."""
 
     def test_constructor_keeps_nothing_yet(self):
+        # nothing but the transitivity check's tree, which every later use reads
         h = from_text(to_text(build_named("pin(T)")))
-        assert h._valencies == {} and h._colorings == {} and h._tree is None
+        assert h._tree is not None and hypermap._flag_tree(h) is h._tree
+        assert h._valencies == {} and h._colorings == {}
 
     def test_generator_matrix_is_one_read_only_array(self):
         h = from_text(to_text(build_named("pin(T)")))

@@ -142,6 +142,49 @@ class TestCanonicalCode:
         assert peak < 2.5 * 2**20
 
 
+def random_involutions(rng, shape: tuple[int, ...], n: int) -> np.ndarray:
+    """Random fixed-point-free involutions on n points, as a (*shape, n) array."""
+    out = np.empty(shape + (n,), dtype=_kernels.DTYPE)
+    for row in out.reshape(-1, n):
+        points = rng.permutation(n)
+        row[points[::2]], row[points[1::2]] = points[1::2], points[::2]
+    return out
+
+
+def polygon_pair(cycle: int, sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Involutions x, y with one orbit on 2 * cycle points, on which xy has
+    two cycles of length cycle: the sides of a 2 * cycle-gon, alternately
+    x's and y's, relabelled by sigma (old point p becomes sigma[p])."""
+    n = 2 * cycle
+    points = np.arange(n)
+    x, y = np.empty(n, dtype=_kernels.DTYPE), np.empty(n, dtype=_kernels.DTYPE)
+    x[sigma], y[sigma] = sigma[points ^ 1], sigma[(points + 2 * (points % 2) - 1) % n]
+    return x, y
+
+
+class TestPairOrbitLabels:
+    """Doubling along xy gives the general kernel's least-point labels."""
+
+    @pytest.mark.parametrize("shape", [(7,), (3, 4)])
+    @pytest.mark.parametrize("n", [2, 4, 6, 8, 10, 16, 18, 34, 64])
+    def test_matches_orbit_labels(self, shape, n):
+        rng = np.random.default_rng(n)
+        x, y = random_involutions(rng, shape, n), random_involutions(rng, shape, n)
+        points = np.arange(n, dtype=_kernels.DTYPE)
+        expected = _kernels._orbit_labels(np.stack([x, y], axis=-2), np.broadcast_to(points, shape + (n,)))
+        assert np.array_equal(_kernels._pair_orbit_labels(x, y), expected)
+
+    @pytest.mark.parametrize("cycle", [1, 2, 3, 4, 5, 8, 9, 16, 17, 32])
+    def test_single_orbit_with_a_long_cycle(self, cycle):
+        # cycles of 2**k points take k rounds, and of 2**k + 1 points one
+        # more: every start must reach the cycle's one least point
+        rng = np.random.default_rng(cycle)
+        for sigma in (np.arange(2 * cycle), *(rng.permutation(2 * cycle) for _ in range(5))):
+            x, y = polygon_pair(cycle, sigma)
+            assert (_kernels._pair_orbit_labels(x, y) == 0).all()
+            assert (_kernels._pair_orbit_labels(y, x) == 0).all()
+
+
 class TestSphericalTriples:
     @pytest.mark.parametrize("n", [4, 6])
     def test_spherical_triples_match_bruteforce(self, n):

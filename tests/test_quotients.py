@@ -225,6 +225,16 @@ class TestCoveringCore:
         for _, h in catalog[:12]:
             assert covering_core(h).n_flags == monodromy_group(h).order
 
+    @settings(max_examples=80, deadline=None)
+    @given(random_hypermaps(sizes=(2, 6, 10, 14, 18)))
+    def test_even_words_have_index_two_when_flags_are_2_mod_4(self, h):
+        # each generator is then a product of an odd number of transpositions,
+        # so core_summary takes the core as orientable with no second chain
+        h0, h1, h2 = h.h
+        assert 2 * perm.schreier_sims((h0 * h1, h1 * h2), h.n_flags)[0] == _stab_and_closure(h)[1]
+        if not surface_class(h).orientable:
+            assert _stab_and_closure(h)[1] > h.n_flags
+
     def test_regular_non_orientable_summary_enumerates_no_group(self, monkeypatch):
         # a regular input is its own core, so no even-word subgroup is needed
         h = validate(8, *NON_ORIENTABLE_CORE_8)
@@ -630,23 +640,25 @@ class TestAnalyze:
 
     @pytest.mark.parametrize("name", ["P6", "pin(T)", "wal(D)", "D6", "M4", "pin(dual01(D))"])
     def test_analysis_builds_one_tree_per_hypermap(self, monkeypatch, name):
-        # parities, automorphisms and Upsilon all read the one tree from flag 0
-        h = from_text(to_text(build_named(name)))
+        # the constructor's transitivity check builds the tree from flag 0;
+        # parities, automorphisms and Upsilon all read it
+        text = to_text(build_named(name))
         trees = []
         real = hypermap._bfs_tree
 
         def spy(rows):
-            trees.append(rows is h.generator_matrix())
+            trees.append(rows)
             return real(rows)
 
         # every module that holds its own reference to the tree builder
         for name, module in list(sys.modules.items()):
             if name.startswith("hypermaps") and vars(module).get("_bfs_tree") is real:
                 monkeypatch.setattr(module, "_bfs_tree", spy)
+        h = from_text(text)
         theta._stab_matched_flags.cache_clear()
         _stab_and_closure.cache_clear()
         analyze(h)
-        assert trees == [True]
+        assert len(trees) == 1 and trees[0] is h.generator_matrix()
 
     def test_doubled_pin_tetrahedron_fits_in_memory(self):
         # |Mon| = 331776: a normal closure over the group ran out of memory
