@@ -6,9 +6,11 @@ a^2 = b^2 = c^2 = 1 are built into the table itself (entries are filled
 symmetrically), so presentations list only the additional relators.
 
 Enumeration over the trivial subgroup turns a finite presentation into the
-regular hypermap whose flags are the group elements; Walsh and Pin double a
-hypermap's flag set, and unwalsh/unpin recover the original from the image
-(up to the documented choices).
+regular hypermap whose flags are the group elements. Walsh and Pin are one
+doubling of a hypermap's flag set, differing only in t2 on copy 1;
+unwalsh/unpin recover the original by one restriction to a vertex color
+class (up to the documented choices). Every builder hands its generator
+rows to the checked Hypermap constructor.
 """
 
 from __future__ import annotations
@@ -26,9 +28,8 @@ from .errors import (
     LimitExceeded,
     NoValencyOneClass,
     NotAMap,
-    NotBipartite,
 )
-from .hypermap import _SIGMA_IMAGES, Hypermap, _face_valencies, _parity_coloring, dual
+from .hypermap import _SIGMA_IMAGES, Hypermap, _face_valencies, _vertex_class_restriction, dual
 from .perm import Permutation, _freeze
 
 __all__ = [
@@ -204,11 +205,11 @@ def regular_from_type(l: int, m: int, n: int) -> Hypermap:
     if min(l, m, n) < 1:
         raise ValueError("type components must be positive")
     table = todd_coxeter(Presentation(((1, 2) * l, (2, 0) * m, (0, 1) * n)))
-    perms = table.permutations()
-    for i, p in enumerate(perms):
-        if p.fixed_points().size:
-            raise Degenerate(f"generator {i} has a fixed point on {table.n_cosets} cosets")
-    return Hypermap(table.n_cosets, *perms)
+    rows = table.table.T
+    fixed = (rows == np.arange(table.n_cosets)).any(axis=1)
+    if fixed.any():
+        raise Degenerate(f"generator {fixed.argmax()} has a fixed point on {table.n_cosets} cosets")
+    return Hypermap(table.n_cosets, *rows)
 
 
 def build_Dn(n: int) -> Hypermap:
@@ -254,29 +255,28 @@ def build_Mk(k: int) -> Hypermap:
         raise ValueError("k must be positive")
     relators = ((0, 1) * (2 * k), (2, 0) + (1, 0) * k)
     table = todd_coxeter(Presentation(relators))
-    return Hypermap(table.n_cosets, *table.permutations())
+    return Hypermap(table.n_cosets, *table.table.T)
 
 
-def _interleave(on_even: np.ndarray, on_odd: np.ndarray) -> np.ndarray:
-    """Image array on 2n flags from per-copy images (copy = parity bit)."""
-    out = np.empty(2 * on_even.shape[0], dtype=DTYPE)
-    out[0::2] = on_even
-    out[1::2] = on_odd
-    return out
+def _double(h: Hypermap, odd_t2: int) -> Hypermap:
+    """The double of h on flags (w, c) encoded as 2w + c: t0 swaps the copies,
+    t1 acts as h1 on copy 0 and h0 on copy 1, t2 as h2 on copy 0 and as
+    h_odd_t2 on copy 1."""
+    rows = h.generator_matrix()
+    t = np.empty((3, 2 * h.n_flags), dtype=DTYPE)
+    t[0] = np.arange(2 * h.n_flags, dtype=DTYPE) ^ 1
+    t[1:, 0::2] = 2 * rows[1:]
+    t[1:, 1::2] = 2 * rows[[0, odd_t2]] + 1
+    return Hypermap(2 * h.n_flags, *t)
 
 
 def walsh(h: Hypermap) -> Hypermap:
-    """The Walsh double: flag (w, c) encoded as 2w + c.
+    """The Walsh double: t2 acts as h2 on both copies.
 
-    t0 swaps the copies, t1 acts as h1 on copy 0 and h0 on copy 1, t2 acts
-    as h2 on both. The result is bipartite with the copies as color classes;
-    hyperedges all have valency 2.
+    The result is bipartite with the copies as color classes; hyperedges
+    all have valency 2.
     """
-    h0, h1, h2 = (p.images for p in h.h)
-    t0 = np.arange(2 * h.n_flags, dtype=DTYPE) ^ 1
-    t1 = _interleave(2 * h1, 2 * h0 + 1)
-    t2 = _interleave(2 * h2, 2 * h2 + 1)
-    return Hypermap(2 * h.n_flags, t0, t1, t2)
+    return _double(h, 2)
 
 
 def pin(h: Hypermap) -> Hypermap:
@@ -285,59 +285,27 @@ def pin(h: Hypermap) -> Hypermap:
     t2 acts as h2 on copy 0 and h0 on copy 1, so copy-1 hypervertices all
     get valency 1. The result is bipartite with hyperedges of valency 4.
     """
-    h0, h1, h2 = (p.images for p in h.h)
-    t0 = np.arange(2 * h.n_flags, dtype=DTYPE) ^ 1
-    t1 = _interleave(2 * h1, 2 * h0 + 1)
-    t2 = _interleave(2 * h2, 2 * h0 + 1)
-    return Hypermap(2 * h.n_flags, t0, t1, t2)
+    return _double(h, 0)
 
 
-def _restrict(full: np.ndarray, flags: np.ndarray, pos: np.ndarray) -> np.ndarray:
-    images = full[flags]
-    if np.any(pos[images] < 0):
-        raise AssertionError("restriction leaves the color class")
-    return pos[images]
-
-
-def _class_arrays(colors: np.ndarray, wanted: int) -> tuple[np.ndarray, np.ndarray]:
-    flags = np.flatnonzero(colors == wanted).astype(DTYPE)
-    pos = np.full(colors.shape[0], -1, dtype=DTYPE)
-    pos[flags] = np.arange(flags.shape[0], dtype=DTYPE)
-    return flags, pos
-
-
-def unwalsh(k: Hypermap, class_of: int | None = None) -> Hypermap:
-    """Invert walsh: restrict t0 t1 t0, t1, t2 to one vertex color class.
+def unwalsh(k: Hypermap) -> Hypermap:
+    """Invert walsh: restrict t0 t1 t0, t1, t2 to flag 0's vertex color class.
 
     Requires (t0 t2)^2 = 1 (NotAMap otherwise) and a vertex 2-coloring
-    (NotBipartite otherwise). The class restricted to is the one containing
-    class_of (default: flag 0); the two choices give the hypermap and its
-    hypervertex/hyperedge dual. InvalidRestriction wraps any validation
+    (NotBipartite otherwise). The other class gives the hypervertex/hyperedge
+    dual; it is flag 0's class in unwalsh(relabel(k, sigma)) for a sigma
+    moving one of its flags to 0. InvalidRestriction wraps any validation
     failure of the restricted triple.
     """
-    t0, t1, t2 = (p.images for p in k.h)
+    t0, _, t2 = k.generator_matrix()
     u = t2[t0]
     if not np.array_equal(u[u], np.arange(k.n_flags)):
         raise NotAMap("(t0 t2)^2 != 1")
-    colors = _parity_coloring(k, (1, 0, 0))
-    if colors is None:
-        raise NotBipartite("no vertex 2-coloring")
-    base = 0 if class_of is None else class_of
-    if not 0 <= base < k.n_flags:
-        raise ValueError(f"class_of out of range: {base}")
-    flags, pos = _class_arrays(colors, colors[base])
-    g0 = _restrict(t0[t1[t0]], flags, pos)
-    g1 = _restrict(t1, flags, pos)
-    g2 = _restrict(t2, flags, pos)
+    g1, g2, g0, _ = _vertex_class_restriction(k)
     try:
-        return Hypermap(flags.shape[0], g0, g1, g2)
+        return Hypermap(g0.shape[0], g0, g1, g2)
     except Exception as exc:
         raise InvalidRestriction(str(exc)) from exc
-
-
-def _all_valency_one(k: Hypermap, colors: np.ndarray, wanted: int) -> bool:
-    first, vals = _face_valencies(k, 0)
-    return bool(np.all(vals[colors[first] == wanted] == 1))
 
 
 def unpin(k: Hypermap) -> Hypermap:
@@ -349,25 +317,18 @@ def unpin(k: Hypermap) -> Hypermap:
     two conjugates t0 t1 t0 and t0 t2 t0 must agree (KernelMismatch); they
     become h0, with t1, t2 restricting to h1, h2.
     """
-    t0, t1, t2 = (p.images for p in k.h)
-    colors = _parity_coloring(k, (1, 0, 0))
-    if colors is None:
-        raise NotBipartite("no vertex 2-coloring")
-    val1 = [_all_valency_one(k, colors, c) for c in (0, 1)]
-    if not any(val1):
-        raise NoValencyOneClass("neither color class has all hypervertices of valency 1")
-    if all(val1):
-        keep = 1 - colors[0]
-    else:
-        keep = 0 if val1[1] else 1
-    flags, pos = _class_arrays(colors, keep)
-    g0a = _restrict(t0[t1[t0]], flags, pos)
-    g0b = _restrict(t0[t2[t0]], flags, pos)
-    if not np.array_equal(g0a, g0b):
+
+    def kept_class(colors: np.ndarray) -> int:
+        first, vals = _face_valencies(k, 0)
+        ones = [bool(np.all(vals[colors[first] == c] == 1)) for c in (0, 1)]
+        if not any(ones):
+            raise NoValencyOneClass("neither color class has all hypervertices of valency 1")
+        return int(ones[0])  # drop color 0, flag 0's class, whenever it qualifies
+
+    g1, g2, g0, g0b = _vertex_class_restriction(k, kept_class)
+    if not np.array_equal(g0, g0b):
         raise KernelMismatch("t0 t1 t0 and t0 t2 t0 differ on the kept class")
-    g1 = _restrict(t1, flags, pos)
-    g2 = _restrict(t2, flags, pos)
-    return Hypermap(flags.shape[0], g0a, g1, g2)
+    return Hypermap(g0.shape[0], g0, g1, g2)
 
 
 def six_duals(h: Hypermap) -> tuple[Hypermap, ...]:

@@ -60,11 +60,10 @@ def _parse_relators(text: str) -> Presentation:
 
 
 def _parse_param(raw: str, letter: str) -> int:
-    value = raw.split("=", 1)[1] if "=" in raw else raw
     try:
-        n = int(value)
+        n = int(raw.removeprefix(f"{letter}="))
     except ValueError:
-        raise _UsageError(f"expected an integer {letter}, got {raw!r}") from None
+        raise _UsageError(f"expected <int> or {letter}=<int>, got {raw!r}") from None
     if n < 1:
         raise _UsageError(f"{letter} must be positive")
     return n
@@ -80,7 +79,7 @@ def _emit(text: str, output: str | None) -> None:
 
 def _write_document(h: Hypermap, args) -> int:
     if args.json:
-        doc = {"n_flags": h.n_flags, **{f"h{i}": p.images.tolist() for i, p in enumerate(h.h)}}
+        doc = {"n_flags": h.n_flags, **{f"h{i}": row for i, row in enumerate(h.generator_matrix().tolist())}}
         _emit(json.dumps(doc, indent=2) + "\n", args.output)
     else:
         _emit(to_text(h), args.output)
@@ -103,6 +102,8 @@ def _cmd_build(args) -> int:
         n = _parse_param(args.params, "n" if family != "Mk" else "k")
         h = build_named(f"{family[0]}{n}")
     elif family in ("T", "C", "O", "D", "I"):
+        if args.params is not None:
+            raise _UsageError(f"{family} takes no parameter, got {args.params!r}")
         h = build_named(family)
     elif family == "from-type":
         if args.params is None:
@@ -121,13 +122,15 @@ def _cmd_build(args) -> int:
         if args.params is None:
             raise _UsageError("from-presentation needs a relator list")
         table = todd_coxeter(_parse_relators(args.params))
-        h = Hypermap(table.n_cosets, *table.permutations())
+        h = Hypermap(table.n_cosets, *table.table.T)
     return _write_document(h, args)
 
 
 def _cmd_transform(args) -> int:
-    h = _read_document(args.input)
     op = args.op
+    if op != "dual" and args.sigma is not None:
+        raise _UsageError(f"{op} takes no role permutation, got {args.sigma!r}")
+    h = _read_document(args.input)
     if op == "wal":
         out = walsh(h)
     elif op == "pin":

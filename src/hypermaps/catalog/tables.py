@@ -171,7 +171,7 @@ def verify_table1(k_max: int = 6) -> tuple[VerificationRow, ...]:
                 "uniform": is_uniform(h),
                 "regular": is_regular(h),
                 "chi": euler_characteristic(h),
-                "mon_order": schreier_sims(h.h, h.n_flags)[0],
+                "mon_order": schreier_sims(h.generator_matrix(), h.n_flags)[0],
             }
             row_id = f"{rid}[k={k}]" if parameterized else str(rid)
             rows.append(VerificationRow("table1", row_id, expr, expected, computed))

@@ -6,12 +6,16 @@ k=0, hyperedges for k=1, hyperfaces for k=2) are the orbits of the two
 generators other than h_k; a face's valency is half its orbit size. The
 base flag is index 0 everywhere a distinguished flag is needed.
 
-Values are immutable and hashable. Each keeps one read-only (3, n_flags)
-generator matrix, which h.h wraps, its k-face labels and one breadth-first
-tree from flag 0: the transitivity check, which gives the walk parities and
-spans every equivariant extension from flag 0 (duals and relabellings build
-theirs on first use). From first use it keeps its face valencies and parity
-colorings. The monodromy group is memoized for the four most recently used
+Values are immutable and hashable. A hypermap is its read-only (3, n_flags)
+generator matrix; h.h and h0-h2 are Permutation views of its rows, made on
+access. Builders hand their rows to the one checked constructor: it checks
+each for n_flags integer images in range (Permutations are trusted), stacks
+them once, checks involutions and fixed points while labelling the k-faces,
+and transitivity while building one breadth-first tree from flag 0, which
+gives the walk parities and spans every equivariant extension from flag 0
+(duals and relabellings skip the checks and build theirs on first use).
+From first use it keeps its face valencies and parity colorings. The
+monodromy group is memoized for the four most recently used
 hypermaps only, since one group can hold hundreds of megabytes.
 """
 
@@ -28,7 +32,7 @@ import numpy as np
 
 from . import _kernels
 from ._kernels import DTYPE, _pair_orbit_labels
-from .errors import HasFixedPoint, NotInvolution, NotTransitive, ParseError
+from .errors import HasFixedPoint, NotBipartite, NotInvolution, NotTransitive, ParseError
 from .perm import FiniteGroup, Permutation, _freeze, _orbit_tuples, generate_group, orbits
 
 __all__ = [
@@ -105,32 +109,38 @@ class Hypermap:
     use validate() to turn raw data into typed violation errors.
     """
 
-    __slots__ = ("n_flags", "h", "_rows", "_hash", "_faces", "_tree", "_valencies", "_colorings")
+    __slots__ = ("n_flags", "_rows", "_hash", "_faces", "_tree", "_valencies", "_colorings")
 
     def __init__(self, n_flags: int, h0, h1, h2):
-        perms = tuple(p if isinstance(p, Permutation) else Permutation(p) for p in (h0, h1, h2))
-        for i, p in enumerate(perms):
-            if p.degree != n_flags:
-                raise ValueError(f"h{i} has degree {p.degree}, expected {n_flags}")
-        rows = np.array([p.images for p in perms])
-        self._fill(rows, _face_labels(rows), _bfs_tree(rows))
+        rows = []
+        for i, gen in enumerate((h0, h1, h2)):
+            row = gen.images if isinstance(gen, Permutation) else np.asarray(gen)
+            if n_flags < 1 or row.shape != (n_flags,):
+                raise ValueError(f"h{i} has shape {row.shape}, expected ({n_flags},) with n_flags >= 1")
+            if row.dtype.kind not in "iu":
+                raise ValueError(f"h{i} has images of dtype {row.dtype}, not integers")
+            if not isinstance(gen, Permutation) and (row.min() < 0 or row.max() >= n_flags):  # trusted
+                raise ValueError(f"h{i} image out of range")
+            rows.append(row)
+        matrix = np.array(rows, dtype=DTYPE)
+        self._fill(matrix, _face_labels(matrix), _bfs_tree(matrix))
 
     def _fill(self, rows: np.ndarray, faces: np.ndarray, tree: "_Tree | None" = None) -> "Hypermap":
         """Set the slots from checked (3, n_flags) generator images, k-face
         labels and tree (None: built on first use); freezes both arrays."""
         rows.setflags(write=False)
         faces.setflags(write=False)
-        perms = tuple(Permutation._wrap(row) for row in rows)
-        for name, value in zip(self.__slots__, (rows.shape[1], perms, rows, None, faces, tree, {}, {})):
+        for name, value in zip(self.__slots__, (rows.shape[1], rows, None, faces, tree, {}, {})):
             object.__setattr__(self, name, value)
         return self
 
     def __setattr__(self, name, value):
         raise AttributeError("Hypermap is immutable")
 
-    h0 = property(lambda self: self.h[0])
-    h1 = property(lambda self: self.h[1])
-    h2 = property(lambda self: self.h[2])
+    h = property(lambda self: tuple(map(Permutation._wrap, self._rows)))
+    h0 = property(lambda self: Permutation._wrap(self._rows[0]))
+    h1 = property(lambda self: Permutation._wrap(self._rows[1]))
+    h2 = property(lambda self: Permutation._wrap(self._rows[2]))
 
     def generator_matrix(self) -> np.ndarray:
         """The read-only (3, n_flags) array of the generator images."""
@@ -139,11 +149,11 @@ class Hypermap:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Hypermap):
             return NotImplemented
-        return self.n_flags == other.n_flags and self.h == other.h
+        return self.n_flags == other.n_flags and bool(np.array_equal(self._rows, other._rows))
 
     def __hash__(self) -> int:
         if self._hash is None:
-            object.__setattr__(self, "_hash", hash((self.n_flags, self.h)))
+            object.__setattr__(self, "_hash", hash(self._rows.tobytes()))
         return self._hash
 
     def __repr__(self) -> str:
@@ -155,8 +165,8 @@ validate = Hypermap
 
 
 def _face_labels(rows: np.ndarray) -> np.ndarray:
-    """The k-face labels (3, n) of the bijections rows (3, n), checked row by
-    row as fixed-point-free involutions."""
+    """The k-face labels (3, n) of rows (3, n) of images in range, checked
+    row by row as fixed-point-free involutions (so bijections)."""
     points = np.arange(rows.shape[1], dtype=DTYPE)
     twice, fixed = rows[[[0], [1], [2]], rows] == points, rows == points
     for i in np.flatnonzero((fixed | ~twice).any(axis=1))[:1].tolist():  # the first bad row
@@ -254,6 +264,22 @@ def _parity_coloring(h: Hypermap, eps: tuple[int, int, int]) -> np.ndarray | Non
         weight = eps[0] | eps[1] << 1 | eps[2] << 2
         h._colorings[eps] = None if tree.odd[weight] else _freeze(_BIT_PARITY[tree.walk & weight])
     return h._colorings[eps]
+
+
+def _vertex_class_restriction(h: Hypermap, pick=lambda colors: 0) -> np.ndarray:
+    """t1, t2, t0 t1 t0 and t0 t2 t0 on one vertex color class of h, the one
+    pick(colors) names (default: flag 0's), as a (4, m) matrix on the class's
+    flags renumbered in flag order; NotBipartite without a vertex 2-coloring.
+    t0 swaps the classes and t1, t2 keep them, so every row maps the class
+    onto itself."""
+    colors = _parity_coloring(h, (1, 0, 0))
+    if colors is None:
+        raise NotBipartite("no vertex 2-coloring")
+    in_class = colors == pick(colors)
+    pos = np.cumsum(in_class, dtype=DTYPE) - 1  # each class flag's number, read at class flags only
+    flags, (t0, t1, t2) = np.flatnonzero(in_class), h._rows
+    across = t0[flags]
+    return pos[np.stack([t1[flags], t2[flags], t0[t1[across]], t0[t2[across]]])]
 
 
 def surface_class(h: Hypermap) -> SurfaceClass:

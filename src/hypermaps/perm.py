@@ -76,9 +76,11 @@ class Permutation:
     __slots__ = ("_img", "_hash")
 
     def __init__(self, images):
-        img = np.asarray(images, dtype=DTYPE)
+        img = np.asarray(images)
         if img.ndim != 1 or img.size == 0:
             raise ValueError("images must be a nonempty one-dimensional sequence")
+        if img.dtype.kind not in "iu":
+            raise ValueError(f"images of dtype {img.dtype} are not integers")
         n = img.shape[0]
         if img.min() < 0 or img.max() >= n:
             raise ValueError("image values out of range")
@@ -86,7 +88,7 @@ class Permutation:
         seen[img] = True
         if not seen.all():
             raise ValueError("images is not a bijection")
-        self._img = _freeze(img.copy())
+        self._img = _freeze(img.astype(DTYPE))
         self._hash = None
 
     @classmethod

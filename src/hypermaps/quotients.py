@@ -43,8 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import DTYPE, _pair_orbit_labels, _row_index
-from .build import _class_arrays
-from .errors import Degenerate, NotBipartite, NotBipartiteRegular
+from .errors import Degenerate, NotBipartiteRegular
 from .hypermap import (
     Hypermap,
     HypermapType,
@@ -52,6 +51,7 @@ from .hypermap import (
     _extensions,
     _flag_tree,
     _parity_coloring,
+    _vertex_class_restriction,
     euler_characteristic,
     is_uniform,
     monodromy_group,
@@ -61,7 +61,6 @@ from .hypermap import (
 from .perm import (
     FiniteGroup,
     GroupName,
-    Permutation,
     generate_group,
     recognize_group,
     schreier_sims,
@@ -175,7 +174,7 @@ def _stab_and_closure(h: Hypermap) -> tuple[np.ndarray, int]:
             bad = lhs != rhs
             pairs = np.stack([lhs[bad], rhs[bad]])
     else:
-        order, stab = schreier_sims(h.h, h.n_flags)
+        order, stab = schreier_sims(rows, h.n_flags)
         points = np.broadcast_to(np.arange(h.n_flags, dtype=DTYPE), stab.shape)
         pairs = np.stack([points.ravel(), stab.ravel()])
     # roots are the least flag of each class, so their order is first appearance
@@ -234,15 +233,9 @@ def irregularity(h: Hypermap) -> IrregularityReport:
     return IrregularityReport(deck.order, recognize_group(deck), deck.order, deck.order)
 
 
-def _delta0_generators(h: Hypermap) -> tuple[Permutation, ...]:
-    """t1, t2, t0 t1 t0, t0 t2 t0 restricted to the color-0 flags."""
-    colors = _parity_coloring(h, (1, 0, 0))
-    if colors is None:
-        raise NotBipartite("no vertex 2-coloring")
-    flags, pos = _class_arrays(colors, 0)
-    t0, t1, t2 = (p.images for p in h.h)
-    words = (t1, t2, t0[t1[t0]], t0[t2[t0]])
-    return tuple(Permutation(pos[w[flags]]) for w in words)
+def _delta0_generators(h: Hypermap) -> np.ndarray:
+    """t1, t2, t0 t1 t0, t0 t2 t0 restricted to the color-0 flags, as rows."""
+    return _vertex_class_restriction(h)
 
 
 def delta0_monodromy(h: Hypermap) -> FiniteGroup:
@@ -252,7 +245,7 @@ def delta0_monodromy(h: Hypermap) -> FiniteGroup:
     the color-0 flags isomorphic to the full monodromy group.
     """
     gens = _delta0_generators(h)
-    return generate_group(gens, gens[0].degree)
+    return generate_group(gens, gens.shape[1])
 
 
 @dataclass(frozen=True)
@@ -280,8 +273,8 @@ def core_summary(h: Hypermap) -> QuotientSummary:
     chi = order // (2 * t.l) + order // (2 * t.m) + order // (2 * t.n) - order // 2
     orientable = _parity_coloring(h, (1, 1, 1)) is not None
     if not orientable and order > h.n_flags:
-        h0, h1, h2 = h.h
-        orientable = h.n_flags % 4 == 2 or 2 * schreier_sims((h0 * h1, h1 * h2), h.n_flags)[0] == order
+        h0, h1, h2 = h.generator_matrix()
+        orientable = h.n_flags % 4 == 2 or 2 * schreier_sims((h1[h0], h2[h1]), h.n_flags)[0] == order
     return QuotientSummary(
         flags=order, type=t, genus=SurfaceClass.from_characteristic(chi, orientable).genus
     )

@@ -290,6 +290,39 @@ def triple_parity_coloring(triple, eps) -> list[int] | None:
     return colors
 
 
+def _double(n: int, on_copy0, on_copy1) -> tuple[tuple[int, ...], ...]:
+    # flag (w, c) is 2w + c; t0 swaps the copies, on_copy_c gives t1, t2 on copy c
+    flags = [(w, c) for w in range(n) for c in (0, 1)]
+    t0 = tuple(2 * w + (1 - c) for w, c in flags)
+    t1 = tuple(2 * (on_copy0, on_copy1)[c][0][w] + c for w, c in flags)
+    t2 = tuple(2 * (on_copy0, on_copy1)[c][1][w] + c for w, c in flags)
+    return (t0, t1, t2)
+
+
+def walsh_triple(triple) -> tuple[tuple[int, ...], ...]:
+    """Walsh double: t1 is h1 on copy 0 and h0 on copy 1, t2 is h2 on both."""
+    h0, h1, h2 = triple
+    return _double(len(h0), (h1, h2), (h0, h2))
+
+
+def pin_triple(triple) -> tuple[tuple[int, ...], ...]:
+    """Pin double: t1 is h1 on copy 0 and h0 on copy 1, t2 is h2 on copy 0
+    and h0 on copy 1."""
+    h0, h1, h2 = triple
+    return _double(len(h0), (h1, h2), (h0, h0))
+
+
+def vertex_class_restriction(triple, color: int) -> tuple[tuple[int, ...], ...]:
+    """t1, t2, t0 t1 t0 and t0 t2 t0 on the flags of one color of
+    triple_vertex_coloring, renumbered in increasing order."""
+    colors = triple_vertex_coloring(triple)
+    flags = [x for x, c in enumerate(colors) if c == color]
+    number = {x: i for i, x in enumerate(flags)}
+    t0, t1, t2 = triple
+    words = (t1, t2, compose(compose(t0, t1), t0), compose(compose(t0, t2), t0))
+    return tuple(tuple(number[w[x]] for x in flags) for w in words)
+
+
 def extend_morphism(src, dst, image_of_zero: int) -> tuple[int, ...] | None:
     """The unique generator-equivariant map with 0 -> image_of_zero, if any.
 

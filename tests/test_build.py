@@ -8,6 +8,7 @@ from hypermaps import (
     NoValencyOneClass,
     NotAMap,
     NotBipartite,
+    Permutation,
     Presentation,
     are_isomorphic,
     bipartite_type,
@@ -16,6 +17,7 @@ from hypermaps import (
     euler_characteristic,
     is_uniform,
     k_faces,
+    relabel,
     surface_class,
     todd_coxeter,
     type_of,
@@ -253,14 +255,12 @@ class TestPin:
 
 class TestUnwalsh:
     def test_recovers_tetrahedron_map_or_its_dual(self):
+        # flag 0's class gives one; relabelling flag 1 (t0 of flag 0) to 0
+        # restricts to the other class, which gives the other
         t = build_platonic("T")
         w = walsh(t)
-        first = unwalsh(w)
-        codes = {canonical_code(first)}
-        other_class_flag = next(
-            x for x in range(w.n_flags) if canonical_code(unwalsh(w, class_of=x)) not in codes
-        )
-        codes.add(canonical_code(unwalsh(w, class_of=other_class_flag)))
+        swap = Permutation.from_cycles(w.n_flags, [(0, 1)])
+        codes = {canonical_code(unwalsh(w)), canonical_code(unwalsh(relabel(w, swap)))}
         expected = {canonical_code(t), canonical_code(dual(t, (1, 0, 2)))}
         assert codes == expected
 
@@ -305,6 +305,35 @@ class TestUnpin:
     def test_round_trip_on_catalog(self, catalog):
         for _, h in catalog[:15]:
             assert are_isomorphic(unpin(pin(h)), h)
+
+
+class TestExactImages:
+    """The doubles and their inverses flag by flag, against the plain 2w + c
+    definitions in bruteforce, on the whole catalog."""
+
+    def test_doubles_match_reference(self, catalog, wal_of, pin_of):
+        for name, h in catalog:
+            triple = bf.as_triple(h)
+            assert bf.as_triple(wal_of[name]) == bf.walsh_triple(triple), name
+            assert bf.as_triple(pin_of[name]) == bf.pin_triple(triple), name
+
+    def test_unwalsh_inverts_walsh(self, catalog, wal_of):
+        for name, h in catalog:
+            assert unwalsh(wal_of[name]) == h, name
+
+    def test_unpin_inverts_pin_or_keeps_copy_one(self, catalog, pin_of):
+        # when every hypervertex of h has valency 1 both classes of pin(h)
+        # qualify, and copy 1, the class without flag 0, is kept
+        inverted = 0
+        for name, h in catalog:
+            got = unpin(pin_of[name])
+            if set(valencies(h, 0)) == {1}:
+                g1, g2, g0, _ = bf.vertex_class_restriction(bf.as_triple(pin_of[name]), 1)
+                assert bf.as_triple(got) == (g0, g1, g2), name
+            else:
+                assert got == h, name
+            inverted += got == h
+        assert (len(catalog), inverted) == (63, 56)
 
 
 class TestSixDuals:

@@ -159,6 +159,22 @@ class TestBuild:
         assert code == 1
         assert err.startswith("usage error:")
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("build", "T", "3"),
+            ("build", "Dn", "foo=3"),
+            ("build", "Dn", "k=3"),
+            ("build", "Mk", "n=3"),
+            ("transform", "wal", "01"),
+            ("transform", "unpin", "id"),
+        ],
+    )
+    def test_unused_arguments_exit_one_naming_them(self, args):
+        code, out, err = run_cli(args, stdin_text=build_text("T"))
+        assert code == 1 and out == ""
+        assert err.startswith("usage error:") and repr(args[-1]) in err
+
     def test_parser_is_reused_across_calls(self):
         # the parser is built once per process; a usage error in one call
         # leaves the next call's parse unaffected

@@ -42,9 +42,12 @@ from hypermaps.build import (
     build_Pn,
     pin,
     regular_from_type,
+    unpin,
+    unwalsh,
     walsh,
 )
 from hypermaps.catalog import build_named, verify_table2, verify_table3, verify_theorem_mk
+from hypermaps.catalog.cli import main
 from hypermaps.hypermap import _canonical, _face_valencies, _parity_coloring, monodromy_group
 from hypermaps.perm import orbits
 from hypermaps.theta import _stab_matched_flags
@@ -75,6 +78,40 @@ class TestValidate:
         with pytest.raises(NotTransitive) as info:
             validate(8, a, b, a)
         assert info.value.orbit_count == 2
+
+    @pytest.mark.parametrize(
+        "rows, bad",
+        [
+            (([1.5, 0.5], [1, 0], (1.0, 0.0)), 0),
+            (([1, 0], [True, False], [1, 0]), 1),
+            (([1, 0], [1, 0], ["1", "0"]), 2),
+            (([1, 0], np.array([1, 0], dtype=np.float64), [1, 0]), 1),
+        ],
+    )
+    def test_non_integer_images_rejected(self, rows, bad):
+        with pytest.raises(ValueError, match=f"h{bad} has images of dtype .*, not integers"):
+            Hypermap(2, *rows)
+
+    @pytest.mark.parametrize(
+        "n, rows, message",
+        [
+            (4, ([1, 0, 3, 2], [1, 0, 3, 4], [2, 3, 0, 1]), "h1 image out of range"),
+            (4, ([1, 0, 3, 2], [1, 0, 3, 2], [-1, 3, 0, 1]), "h2 image out of range"),
+            (4, ([1, 0], [1, 0, 3, 2], [2, 3, 0, 1]), r"h0 has shape \(2,\)"),
+            (4, ([1, 0, 3, 2], [[1, 0, 3, 2]], [2, 3, 0, 1]), r"h1 has shape \(1, 4\)"),
+            (4, ([1, 0, 3, 2], Permutation([1, 0]), [2, 3, 0, 1]), r"h1 has shape \(2,\)"),
+            (0, ([], [], []), "h0 has shape"),
+        ],
+    )
+    def test_raw_rows_checked_for_shape_and_range(self, n, rows, message):
+        with pytest.raises(ValueError, match=message):
+            Hypermap(n, *rows)
+
+    def test_in_range_non_bijection_is_not_an_involution(self):
+        # the raw rows build no Permutation; the involution check catches it
+        with pytest.raises(NotInvolution) as info:
+            validate(4, [1, 0, 3, 2], [1, 1, 3, 2], [2, 3, 0, 1])
+        assert info.value.index == 1
 
     def test_odd_flag_count_impossible(self):
         with pytest.raises(Exception):
@@ -171,9 +208,12 @@ class TestKeptData:
             assert derived.generator_matrix() is derived.generator_matrix()
             assert not derived.generator_matrix().flags.writeable
 
-    def test_text_intake_builds_no_permutation(self, monkeypatch):
-        # rows are checked once, as text, then as one matrix
+    def test_text_intake_builds_no_permutation(self, monkeypatch, capsys):
+        # rows are checked once, as text, then as one matrix; every builder
+        # hands its rows to the same checked constructor
         text = to_text(build_named("wal(pin(D))"))
+        t, d = build_platonic("T"), build_Dn(3)
+        wal_t, pin_t = walsh(t), pin(t)
         built = []
         init = Permutation.__init__
 
@@ -184,6 +224,15 @@ class TestKeptData:
         monkeypatch.setattr(Permutation, "__init__", spy_init)
         h = from_text(text)
         assert built == [] and to_text(h) == text
+        made = [
+            walsh(t), pin(t), unwalsh(wal_t), unpin(pin_t), regular_from_type(2, 3, 3), build_Mk(3),
+            closure_cover(pin(d)), covering_core(d),
+        ]
+        assert main(["build", "from-presentation", "bcbc,cacaca,ababab"]) == 0
+        assert built == [] and from_text(capsys.readouterr().out).n_flags == 24
+        for g in (h, *made):
+            rows = g.generator_matrix()
+            assert all(g.h[i].images.base is rows for i in range(3))
 
     def test_valencies_are_kept_read_only(self):
         h = from_text(to_text(build_named("pin(T)")))

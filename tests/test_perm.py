@@ -68,6 +68,22 @@ class TestPermutation:
         with pytest.raises(ValueError):
             Permutation([0, 0, 1])
 
+    @pytest.mark.parametrize(
+        "images", [[1.9, 0.2], [1.0, 0.0], ["1", "0"], [True, False], np.array([1, 0], dtype=np.float32)]
+    )
+    def test_rejects_non_integer_images(self, images):
+        with pytest.raises(ValueError, match="not integers"):
+            Permutation(images)
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.uint16, np.int64, np.uint64])
+    def test_accepts_every_integer_dtype(self, dtype):
+        assert Permutation(np.array([2, 0, 1], dtype=dtype)) == perm((0, 2, 1), degree=3)
+
+    def test_rejects_out_of_range_before_narrowing(self):
+        # 2**32 would wrap to 0 in the 32-bit image array
+        with pytest.raises(ValueError, match="out of range"):
+            Permutation([2**32, 1])
+
     def test_conjugation(self):
         a = perm((0, 1), degree=3)
         g = perm((0, 1, 2), degree=3)

@@ -46,6 +46,7 @@ from hypermaps.quotients import (
     QuotientSummary,
     _closure_action,
     _closure_summary,
+    _delta0_generators,
     _merge,
     _stab_and_closure,
     analyze,
@@ -567,6 +568,12 @@ class TestDelta0Monodromy:
         w = walsh(build_Pn(2))
         g = delta0_monodromy(w)
         assert g.degree == w.n_flags // 2
+
+    def test_generators_match_definition_on_every_double(self, catalog, wal_of, pin_of):
+        for name, _ in catalog:
+            for d in (wal_of[name], pin_of[name]):
+                expected = bf.vertex_class_restriction(bf.as_triple(d), 0)
+                assert tuple(map(tuple, _delta0_generators(d).tolist())) == expected, name
 
 
 class TestAnalyze:
