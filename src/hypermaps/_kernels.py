@@ -5,7 +5,9 @@ Inputs are coerced to contiguous DTYPE arrays; outputs are DTYPE arrays.
   canonical_codes -- least breadth-first relabeling code over all start flags
       (as in plantri, Brinkmann & McKay 2007), the certificate behind
       canonical_form; the searches of all (triple, start) instances advance
-      one head at a time. canonical_code is the one-triple form.
+      one head at a time, and after each head the starts whose h0 column
+      exceeds their triple's least are dropped; ties keep the first start.
+      canonical_code is the one-triple form.
   _pair_orbit_labels -- least point of each orbit of two fixed-point-free
       involutions, for many pairs at once: every k-face in the package.
   _orbit_labels -- the same for any generator sets: permutation orbits,
@@ -29,13 +31,18 @@ DTYPE = np.int32
 _CODE_BLOCK = 1 << 18
 
 
-def _least_starts(hs: np.ndarray, starts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(codes, sigmas) of the least of the starts (S,) on each of the triples
-    hs (G, 3, n); ties keep the first of the starts."""
+def _search(hs: np.ndarray, starts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Breadth-first labelling from the starts (S,) on each of the triples hs
+    (G, 3, n). Column k of the code's h0 block, the label of the h0 image of
+    the k-th flag reached, is final after head k, so each head drops the
+    starts whose column exceeds their triple's least. Returns lab and order, flat
+    (G * S, n + 1) arrays with a scratch column, and the live rows, triple
+    by triple in start order, with their triples."""
     g_count, s_count, n = hs.shape[0], starts.size, hs.shape[2]
-    r_count, hflat = g_count * s_count, hs.reshape(-1)
-    row_at = np.arange(r_count) * (n + 1)  # lab and order have a scratch column
-    gen_at = np.repeat(np.arange(g_count) * (3 * n), s_count)  # offsets in hflat
+    r_count, gens = g_count * s_count, [hs[:, g].reshape(-1) for g in range(3)]
+    rows, tri = np.arange(r_count), np.repeat(np.arange(g_count), s_count)
+    row_at = rows * (n + 1)  # lab and order have a scratch column
+    gen_at = tri * n  # offsets in each of gens
     first = np.tile(starts, g_count)
     lab = np.full(r_count * (n + 1), -1, dtype=DTYPE)
     lab[row_at + first] = 0
@@ -43,42 +50,56 @@ def _least_starts(hs: np.ndarray, starts: np.ndarray) -> tuple[np.ndarray, np.nd
     # end of an exhausted search labels nothing new.
     order = np.repeat(first.astype(DTYPE), n + 1)
     count = np.ones(r_count, dtype=DTYPE)
+    runs = np.arange(0, r_count, s_count)  # first live row of each triple
     for head in range(n):
-        x = order[row_at + head]
-        for g in range(3):
-            y = hflat[gen_at + (g * n) + x]
+        x = gen_at + order[row_at + head]
+        for g, gen in enumerate(gens):
+            y = gen[x]
             at = row_at + y
             new = lab[at] < 0
             lab[at[new]] = count[new]
             order[row_at + count] = y
             count += new
+            if g == 0:
+                column = lab[at]
+        if rows.size > g_count:  # some triple has two live starts
+            keep = column == np.minimum.reduceat(column, runs)[tri]
+            if not keep.all():
+                rows, tri, row_at, gen_at, count = (a[keep] for a in (rows, tri, row_at, gen_at, count))
+                runs = np.flatnonzero(np.diff(tri, prepend=-1))
+    # Each triple keeps a live start, and every start of an intransitive
+    # triple labels fewer than n flags.
     if count.min() < n:
         raise ValueError("the generators do not act transitively")
+    return lab, order, rows, tri
+
+
+def _least_starts(hs: np.ndarray, starts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(codes, sigmas) of the least of the starts (S,) on each of the triples
+    hs (G, 3, n): the survivors of _search tie on the h0 block and are
+    compared on the h1 and h2 blocks; ties keep the first of the starts."""
+    g_count, s_count, n = hs.shape[0], starts.size, hs.shape[2]
+    lab, order, rows, tri = _search(hs, starts)
 
     def columns(r: np.ndarray, c: np.ndarray) -> np.ndarray:
-        """Code entries lab[r, g[order[r, k]]] at columns c = g * n + k."""
+        """Code entries lab[r, g[order[r, k]]] of rows r at columns c = g * n + k."""
         g, k = np.divmod(c, n)
-        x = order[row_at[r, None] + k]
-        return lab[row_at[r, None] + hflat[gen_at[r, None] + g * n + x]]
+        at = r[:, None] * (n + 1)
+        x = order[at + k]
+        return lab[at + hs.reshape(-1)[(r // s_count)[:, None] * (3 * n) + g * n + x]]
 
     # Columns per step: as many base-n digits as fit an int64 key.
-    width = max(1, min(3 * n, int(62 / np.log2(max(n, 2))), _CODE_BLOCK // r_count))
+    width = max(1, min(3 * n, int(62 / np.log2(max(n, 2))), _CODE_BLOCK // rows.size))
     powers = n ** np.arange(width - 1, -1, -1, dtype=np.int64)
-    live = np.ones((g_count, s_count), dtype=bool)
-    act = np.arange(g_count)  # triples with more than one live start
-    for c0 in range(0, 3 * n, width):
-        c = np.arange(c0, min(c0 + width, 3 * n))
-        r = (act[:, None] * s_count + np.arange(s_count)).reshape(-1)
-        key = (columns(r, c) @ powers[width - c.size :]).reshape(act.size, s_count)
-        sub = live[act]
-        key[~sub] = np.iinfo(np.int64).max
-        sub &= key == key.min(axis=1, keepdims=True)
-        live[act] = sub
-        act = act[sub.sum(axis=1) > 1]
-        if act.size == 0:
+    for c0 in range(n, 3 * n, width):
+        if rows.size == g_count:  # one live start per triple
             break
-    win = np.arange(g_count) * s_count + live.argmax(axis=1)
-    return columns(win, np.arange(3 * n)), lab.reshape(r_count, n + 1)[win, :n]
+        c = np.arange(c0, min(c0 + width, 3 * n))
+        key = columns(rows, c) @ powers[width - c.size :]
+        keep = key == np.minimum.reduceat(key, np.flatnonzero(np.diff(tri, prepend=-1)))[tri]
+        rows, tri = rows[keep], tri[keep]
+    win = rows[np.diff(tri, prepend=-1) != 0]
+    return columns(win, np.arange(3 * n)), lab.reshape(-1, n + 1)[win, :n]
 
 
 def canonical_codes(hs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

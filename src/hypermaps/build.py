@@ -21,16 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import DTYPE
-from .errors import (
-    Degenerate,
-    InvalidRestriction,
-    KernelMismatch,
-    LimitExceeded,
-    NoValencyOneClass,
-    NotAMap,
-)
+from .errors import Degenerate, KernelMismatch, LimitExceeded, NoValencyOneClass, NotAMap
 from .hypermap import _SIGMA_IMAGES, Hypermap, _face_valencies, _vertex_class_restriction, dual
-from .perm import Permutation, _freeze
 
 __all__ = [
     "Presentation",
@@ -75,12 +67,6 @@ class CosetTable:
     @property
     def n_cosets(self) -> int:
         return self.table.shape[0]
-
-    def permutations(self) -> tuple[Permutation, Permutation, Permutation]:
-        return tuple(
-            Permutation._wrap(_freeze(np.ascontiguousarray(self.table[:, g])))
-            for g in range(3)
-        )
 
 
 def todd_coxeter(presentation: Presentation, coset_limit: int = 1_000_000) -> CosetTable:
@@ -294,18 +280,14 @@ def unwalsh(k: Hypermap) -> Hypermap:
     Requires (t0 t2)^2 = 1 (NotAMap otherwise) and a vertex 2-coloring
     (NotBipartite otherwise). The other class gives the hypervertex/hyperedge
     dual; it is flag 0's class in unwalsh(relabel(k, sigma)) for a sigma
-    moving one of its flags to 0. InvalidRestriction wraps any validation
-    failure of the restricted triple.
+    moving one of its flags to 0.
     """
     t0, _, t2 = k.generator_matrix()
     u = t2[t0]
     if not np.array_equal(u[u], np.arange(k.n_flags)):
         raise NotAMap("(t0 t2)^2 != 1")
     g1, g2, g0, _ = _vertex_class_restriction(k)
-    try:
-        return Hypermap(g0.shape[0], g0, g1, g2)
-    except Exception as exc:
-        raise InvalidRestriction(str(exc)) from exc
+    return Hypermap(g0.shape[0], g0, g1, g2)
 
 
 def unpin(k: Hypermap) -> Hypermap:

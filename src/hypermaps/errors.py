@@ -87,10 +87,6 @@ class NotBipartite(HypermapsError):
     """Input admits no 2-coloring in which h0 alone flips the color."""
 
 
-class InvalidRestriction(HypermapsError):
-    """Restricting to a color class did not produce a valid hypermap."""
-
-
 class NoValencyOneClass(HypermapsError):
     """Neither color class consists entirely of valency-1 hypervertices."""
 

@@ -204,33 +204,33 @@ def triple_orbits(triple, picks) -> list[tuple[int, ...]]:
     return result
 
 
-def canonical_code(triple) -> tuple[list[int], list[int]]:
-    """Least breadth-first relabeling code over all start flags.
+def start_code(triple, start: int) -> tuple[list[int], list[int]]:
+    """Breadth-first relabeling code from one start flag.
 
-    One search per start: number the flags in the order a breadth-first
-    search reaches them, trying the generators in order; the code is the
-    concatenation of the relabeled generator images. Returns (code, sigma)
-    of the first start whose code is least; sigma maps old flags to labels.
+    Number the flags in the order a breadth-first search reaches them,
+    trying the generators in order; the code is the concatenation of the
+    relabeled generator images. Returns (code, lab); lab maps old flags to
+    labels.
     """
-    n = len(triple[0])
-    best = None
-    for start in range(n):
-        lab = [-1] * n
-        lab[start] = 0
-        order = [start]
-        head = 0
-        while head < len(order):
-            x = order[head]
-            head += 1
-            for row in triple:
-                y = row[x]
-                if lab[y] < 0:
-                    lab[y] = len(order)
-                    order.append(y)
-        code = [lab[row[x]] for row in triple for x in order]
-        if best is None or code < best[0]:
-            best = (code, lab)
-    return best
+    lab = [-1] * len(triple[0])
+    lab[start] = 0
+    order = [start]
+    head = 0
+    while head < len(order):
+        x = order[head]
+        head += 1
+        for row in triple:
+            y = row[x]
+            if lab[y] < 0:
+                lab[y] = len(order)
+                order.append(y)
+    return [lab[row[x]] for row in triple for x in order], lab
+
+
+def canonical_code(triple) -> tuple[list[int], list[int]]:
+    """Least breadth-first relabeling code over all start flags: (code,
+    sigma) of the first start whose start_code is least."""
+    return min((start_code(triple, start) for start in range(len(triple[0]))), key=lambda pair: pair[0])
 
 
 def triple_euler(triple) -> int:

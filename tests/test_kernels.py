@@ -44,6 +44,16 @@ def random_transitive_triple(rng, n: int) -> np.ndarray:
             return hs
 
 
+def h0_block_outcome(triple) -> tuple[set[int], int]:
+    """(heads, tied): the heads of the h0 block at which some start of the
+    triple first exceeds the least h0 block, and how many starts tie on it."""
+    n = len(triple[0])
+    blocks = [bf.start_code(triple, start)[0][:n] for start in range(n)]
+    least = min(blocks)
+    heads = {next(k for k in range(n) if block[k] != least[k]) for block in blocks if block != least}
+    return heads, blocks.count(least)
+
+
 def full_scan_reference(invs: np.ndarray) -> np.ndarray:
     """The orbit-label filter run on every h0 slice, all m**3 triples: the
     reference for the scan, which filters one slice and relabels it."""
@@ -121,6 +131,50 @@ class TestCanonicalCode:
             late_winners += sigma.tolist().index(0) >= block // hs.shape[1]
         assert late_winners > 0  # some winner came from a later start block
 
+    @pytest.mark.parametrize("n", [10, 12, 16])
+    def test_random_batches_match_reference(self, n):
+        rng = np.random.default_rng(n)
+        hs = np.stack([random_transitive_triple(rng, n) for _ in range(200)])
+        outcomes = [h0_block_outcome(rows_of(triple)) for triple in hs]
+        # starts drop at several heads, and some triples tie past the h0 block
+        assert len(set().union(*(heads for heads, _ in outcomes))) >= 3
+        assert any(tied > 1 for _, tied in outcomes)
+        assert_matches_reference(hs, *_kernels.canonical_codes(hs))
+
+    @pytest.mark.parametrize(
+        "regular, doubled",
+        [(("T", "dual01(T)"), ("pin(M3)", "wal(dual02(P3))")), (("C", "O"), ("pin(T)", "wal(T)"))],
+        ids=["24", "48"],
+    )
+    def test_regular_and_doubled_maps_among_random_ones(self, regular, doubled):
+        first, last = (build_named(name).generator_matrix() for name in regular)
+        n = first.shape[1]
+        rng = np.random.default_rng(n)
+        middle = [build_named(name).generator_matrix() for name in doubled]
+        middle += [random_transitive_triple(rng, n) for _ in range(6)]
+        hs = np.stack([first, *middle, last])
+        codes, sigmas = _kernels.canonical_codes(hs)
+        assert_matches_reference(hs, codes, sigmas)
+        # On a regular map every start ties to the end, and start 0 wins.
+        for i in (0, -1):
+            assert len({tuple(bf.start_code(rows_of(hs[i]), start)[0]) for start in range(n)}) == 1
+            assert sigmas[i, 0] == 0
+
+    def test_h0_block_drops_most_searches(self, monkeypatch, eight_flag_slice):
+        # 2688 triples times 8 starts: count the searches still live after
+        # the h0 block (9600, as bruteforce counts the ties on it); no timing.
+        live = []
+        search = _kernels._search
+
+        def counted(hs, starts):
+            out = search(hs, starts)
+            live.append(out[2].size)
+            return out
+
+        monkeypatch.setattr(_kernels, "_search", counted)
+        _kernels.canonical_codes(eight_flag_slice)
+        assert sum(live) < 21504 // 2
+
     def test_intransitive_generators_are_rejected(self):
         pairing = [1, 0, 3, 2]
         with pytest.raises(ValueError, match="transitive"):
@@ -128,6 +182,12 @@ class TestCanonicalCode:
         batch = np.array([[pairing, [2, 3, 0, 1], pairing], [pairing] * 3])
         with pytest.raises(ValueError, match="transitive"):
             _kernels.canonical_codes(batch)
+        # one intransitive triple among transitive ones whose starts drop
+        rng = np.random.default_rng(1)
+        batch = [random_transitive_triple(rng, 10) for _ in range(6)]
+        batch.insert(3, np.stack([np.arange(10, dtype=_kernels.DTYPE) ^ 1] * 3))
+        with pytest.raises(ValueError, match="transitive"):
+            _kernels.canonical_codes(np.stack(batch))
 
     def test_memory_stays_within_labels_and_order(self):
         # lab and order of all 480 starts take 1.8 MiB; a materialized
@@ -140,6 +200,17 @@ class TestCanonicalCode:
         finally:
             tracemalloc.stop()
         assert peak < 2.5 * 2**20
+
+    def test_batch_memory_stays_below_keeping_every_search(self, eight_flag_slice):
+        # Comparing all 21504 searches only after the whole labelling peaked
+        # at 7.35 MiB here; dropping losers at each head keeps it near 4.6 MiB.
+        tracemalloc.start()
+        try:
+            _kernels.canonical_codes(eight_flag_slice)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 7.3 * 2**20
 
 
 def random_involutions(rng, shape: tuple[int, ...], n: int) -> np.ndarray:
