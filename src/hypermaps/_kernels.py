@@ -182,12 +182,12 @@ def _row_index(table: np.ndarray, rows: np.ndarray) -> np.ndarray:
     as_bytes = np.dtype((np.void, table.shape[1] * table.itemsize))
     index = {key: i for i, key in enumerate(np.ascontiguousarray(table).view(as_bytes).ravel().tolist())}
     if len(index) < table.shape[0]:
-        raise ValueError("the involution table repeats a row")
+        raise ValueError("the table repeats a row")
     keys = np.ascontiguousarray(rows).view(as_bytes)[..., 0]
     try:
         return np.array([index[key] for key in keys.ravel().tolist()]).reshape(keys.shape)
     except KeyError:
-        raise ValueError("a relabelled involution is not in the table") from None
+        raise ValueError("a looked-up row is not in the table") from None
 
 
 def _conjugation_table(invs: np.ndarray) -> tuple[np.ndarray, int]:

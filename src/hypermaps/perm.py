@@ -3,15 +3,17 @@
 Permutations act on the right: the product ``a * b`` means "apply a, then b",
 so ``(a * b)(x) == b(a(x))``. schreier_sims gives |G| and the generators of
 Stab(0) from a base and strong generating set, without listing G; its work
-is bounded by CHAIN_LIMIT. A FiniteGroup holds every element: one
-breadth-first closure of the identity builds them all, generate_group under
-right multiplication by the generators, in the given order, and
-normal_closure under right multiplication by the seeds and conjugation by
-the ambient generators. A closure that passes ORDER_LIMIT elements, or
-whose next round would hold more than BYTE_LIMIT bytes of elements, raises
-LimitExceeded. recognize_group names a group from the histogram of its
-element orders alone.
-All values are immutable after construction and every operation is a pure
+is bounded by CHAIN_LIMIT. A FiniteGroup holds every element as a row of
+one read-only matrix: one breadth-first closure of the identity builds them
+all, generate_group under right multiplication by the generators, in the
+given order, and normal_closure under right multiplication by the seeds and
+conjugation by the ambient generators. A closure that passes ORDER_LIMIT
+elements, or whose next round would hold more than BYTE_LIMIT bytes of
+elements, raises LimitExceeded. recognize_group names a group from the
+histogram of its element orders alone.
+All values are immutable after construction, except that a FiniteGroup
+builds its element index, Permutation list and element orders on first use.
+Concurrent builds produce equal values and every operation is a pure
 function, so concurrent use needs no coordination.
 """
 
@@ -34,7 +36,6 @@ __all__ = [
     "generate_group",
     "schreier_sims",
     "orbits",
-    "point_stabilizer",
     "normal_closure",
     "quotient_action",
     "recognize_group",
@@ -191,7 +192,7 @@ def _as_rows(perms, degree: int | None) -> tuple[np.ndarray, int]:
     return np.empty((0, degree), dtype=DTYPE), degree
 
 
-def _closure(right: np.ndarray, conj: np.ndarray) -> tuple[np.ndarray, dict[bytes, int]]:
+def _closure(right: np.ndarray, conj: np.ndarray) -> np.ndarray:
     """Breadth-first closure of the identity under the maps x -> post[x[pre]].
 
     Each row s of right gives the right multiplication x -> x s (post = s,
@@ -229,9 +230,7 @@ def _closure(right: np.ndarray, conj: np.ndarray) -> tuple[np.ndarray, dict[byte
         blocks.append(frontier)
         if len(index) > ORDER_LIMIT:
             raise LimitExceeded("ORDER_LIMIT", ORDER_LIMIT)
-    matrix = np.concatenate(blocks)
-    matrix.setflags(write=False)
-    return matrix, index
+    return np.concatenate(blocks)
 
 
 class FiniteGroup:
@@ -240,15 +239,17 @@ class FiniteGroup:
     Element 0 is the identity; the element order is the breadth-first
     discovery order from the identity. Construct through generate_group (or
     the other operations below), which guarantee the closure invariants.
+    The matrix is stored C-contiguous and read-only; the element index that
+    membership reads is built on the first lookup.
     """
 
     __slots__ = ("degree", "generators", "_matrix", "_index", "_elements", "_orders")
 
-    def __init__(self, degree: int, generators: tuple[Permutation, ...], matrix: np.ndarray, index: dict[bytes, int]):
+    def __init__(self, degree: int, generators: tuple[Permutation, ...], matrix: np.ndarray):
         self.degree = degree
         self.generators = generators
-        self._matrix = matrix
-        self._index = index
+        self._matrix = _freeze(matrix)
+        self._index: dict[bytes, int] | None = None
         self._elements: tuple[Permutation, ...] | None = None
         self._orders: np.ndarray | None = None
 
@@ -273,10 +274,17 @@ class FiniteGroup:
     def element(self, i: int) -> Permutation:
         return Permutation._wrap(self._matrix[i])
 
+    def _lookup(self) -> dict[bytes, int]:
+        """Element number of each row's bytes, built on the first call."""
+        if self._index is None:
+            as_bytes = np.dtype((np.void, self.degree * self._matrix.itemsize))
+            self._index = {key: i for i, key in enumerate(self._matrix.view(as_bytes).ravel().tolist())}
+        return self._index
+
     def __contains__(self, p) -> bool:
         if not isinstance(p, Permutation) or p.degree != self.degree:
             return False
-        return np.ascontiguousarray(p.images, dtype=DTYPE).tobytes() in self._index
+        return p.images.tobytes() in self._lookup()
 
     def element_orders(self) -> np.ndarray:
         """Order of every element, aligned with element indexing."""
@@ -287,14 +295,6 @@ class FiniteGroup:
 
     def __repr__(self) -> str:
         return f"<FiniteGroup order={self.order} degree={self.degree} generators={len(self.generators)}>"
-
-
-def _group_from_rows(degree: int, generators: tuple[Permutation, ...], matrix: np.ndarray) -> FiniteGroup:
-    """Wrap rows already known to be a subgroup (row 0 = identity)."""
-    matrix = np.ascontiguousarray(matrix, dtype=DTYPE)
-    matrix.setflags(write=False)
-    index = {matrix[i].tobytes(): i for i in range(matrix.shape[0])}
-    return FiniteGroup(degree, generators, matrix, index)
 
 
 def generate_group(generators, degree: int | None = None) -> FiniteGroup:
@@ -308,8 +308,7 @@ def generate_group(generators, degree: int | None = None) -> FiniteGroup:
     if not gen_list:
         raise EmptyGenerators("generate_group requires at least one generator")
     rows, degree = _as_rows(gen_list, degree)
-    matrix, index = _closure(rows, rows[:0])
-    return FiniteGroup(degree, tuple(gen_list), matrix, index)
+    return FiniteGroup(degree, tuple(gen_list), _closure(rows, rows[:0]))
 
 
 def orbits(perms, degree: int) -> tuple[tuple[int, ...], ...]:
@@ -419,23 +418,6 @@ def schreier_sims(generators, degree: int | None = None) -> tuple[int, np.ndarra
     return math.prod(map(len, reps)), stab
 
 
-def point_stabilizer(group: FiniteGroup, point: int) -> FiniteGroup:
-    """Subgroup {g : point * g == point}, enumerated exhaustively. Each generator,
-    picked in element order, lies outside the closure of those before it, so it
-    at least doubles that closure: at most log2 of the order, or the identity."""
-    if not 0 <= point < group.degree:
-        raise ValueError(f"point {point} out of range for degree {group.degree}")
-    keep = np.nonzero(group.matrix[:, point] == point)[0]
-    matrix = group.matrix[keep]
-    picked, reached = [], {matrix[0].tobytes()}
-    for row in matrix:
-        if row.tobytes() not in reached:
-            picked.append(row)
-            reached = _closure(np.stack(picked), matrix[:0])[1]
-    gens = tuple(Permutation._wrap(_freeze(row)) for row in picked) or (Permutation.identity(group.degree),)
-    return _group_from_rows(group.degree, gens, matrix)
-
-
 def normal_closure(group: FiniteGroup, seeds) -> FiniteGroup:
     """Smallest normal subgroup N of the group containing the seeds.
 
@@ -455,23 +437,22 @@ def normal_closure(group: FiniteGroup, seeds) -> FiniteGroup:
             raise NotAMember("normal closure seed is not in the group")
     gens = tuple(seed_perms) or (Permutation.identity(group.degree),)
     rows, _ = _as_rows(gens, group.degree)
-    matrix, index = _closure(rows, _as_rows(group.generators, group.degree)[0])
-    return FiniteGroup(group.degree, gens, matrix, index)
+    return FiniteGroup(group.degree, gens, _closure(rows, _as_rows(group.generators, group.degree)[0]))
 
 
 def quotient_action(group: FiniteGroup, normal: FiniteGroup) -> tuple[int, tuple[Permutation, ...]]:
     """Cosets of a verified-normal subgroup, with generator images acting by
     right multiplication. The identity's coset is 0; cosets are numbered by
     first-discovered representative in the group's element order."""
-    n_mat = normal.matrix
+    n_mat, index, n_index = normal.matrix, group._lookup(), normal._lookup()
     for row in n_mat:
-        if row.tobytes() not in group._index:
+        if row.tobytes() not in index:
             raise NotNormal("subgroup elements are not all in the group")
     gen_rows = [np.ascontiguousarray(g.images, dtype=DTYPE) for g in group.generators]
     for g in gen_rows:
         # (r^g)(x) = g(r(g^-1(x))) for every row r of the subgroup
         for row in g[n_mat[:, np.argsort(g)]]:
-            if row.tobytes() not in normal._index:
+            if row.tobytes() not in n_index:
                 raise NotNormal("subgroup is not closed under conjugation")
 
     coset_of = np.full(group.order, -1, dtype=DTYPE)
@@ -483,7 +464,7 @@ def quotient_action(group: FiniteGroup, normal: FiniteGroup) -> tuple[int, tuple
         coset_rows = rep_row[n_mat]  # n * rep for every n in the subgroup
         cid = len(reps)
         for row in coset_rows:
-            coset_of[group._index[row.tobytes()]] = cid
+            coset_of[index[row.tobytes()]] = cid
         reps.append(idx)
 
     count = len(reps)
@@ -492,7 +473,7 @@ def quotient_action(group: FiniteGroup, normal: FiniteGroup) -> tuple[int, tuple
         img = np.empty(count, dtype=DTYPE)
         for cid, rep in enumerate(reps):
             prod = g[group.matrix[rep]]  # rep * g
-            img[cid] = coset_of[group._index[prod.tobytes()]]
+            img[cid] = coset_of[index[prod.tobytes()]]
         images.append(Permutation._wrap(_freeze(img)))
     return count, tuple(images)
 

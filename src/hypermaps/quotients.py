@@ -51,20 +51,13 @@ from .hypermap import (
     _extensions,
     _flag_tree,
     _parity_coloring,
-    _vertex_class_restriction,
     euler_characteristic,
     is_uniform,
     monodromy_group,
     surface_class,
     type_of,
 )
-from .perm import (
-    FiniteGroup,
-    GroupName,
-    generate_group,
-    recognize_group,
-    schreier_sims,
-)
+from .perm import GroupName, recognize_group, schreier_sims
 from .theta import (
     BIPARTITE,
     PARITY_VECTORS,
@@ -85,7 +78,6 @@ __all__ = [
     "closure_cover",
     "core_summary",
     "irregularity",
-    "delta0_monodromy",
     "analyze",
 ]
 
@@ -231,21 +223,6 @@ def irregularity(h: Hypermap) -> IrregularityReport:
         raise NotBipartiteRegular("irregularity is defined for bipartite-regular hypermaps")
     deck = _automorphism_group(h, np.flatnonzero(_stab_and_closure(h)[0] == 0))
     return IrregularityReport(deck.order, recognize_group(deck), deck.order, deck.order)
-
-
-def _delta0_generators(h: Hypermap) -> np.ndarray:
-    """t1, t2, t0 t1 t0, t0 t2 t0 restricted to the color-0 flags, as rows."""
-    return _vertex_class_restriction(h)
-
-
-def delta0_monodromy(h: Hypermap) -> FiniteGroup:
-    """Monodromy of the color-0 restriction t1, t2, t0 t1 t0, t0 t2 t0.
-
-    Defined for bipartite h: the four restricted maps generate a group on
-    the color-0 flags isomorphic to the full monodromy group.
-    """
-    gens = _delta0_generators(h)
-    return generate_group(gens, gens.shape[1])
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ import numpy as np
 from ._kernels import DTYPE
 from .errors import NotBipartite, NotConservative
 from .hypermap import Hypermap, _extensions, _face_valencies, _flag_tree, _parity_coloring
-from .perm import FiniteGroup, Permutation, _freeze, _group_from_rows
+from .perm import FiniteGroup, Permutation, _freeze
 
 __all__ = [
     "ParityVector",
@@ -130,9 +130,9 @@ def _automorphism_group(h: Hypermap, targets: np.ndarray) -> FiniteGroup:
     targets must be matched flags, listed with flag 0 first.
     """
     blocks = _extensions(_flag_tree(h), h.generator_matrix(), targets.astype(DTYPE))
-    matrix = np.concatenate([psi.T for psi, _ in blocks])
-    gens = tuple(Permutation._wrap(_freeze(row)) for row in matrix)
-    return _group_from_rows(h.n_flags, gens, matrix)
+    # the psi.T blocks concatenate F-ordered; rows of the C-ordered copy are the generators
+    matrix = _freeze(np.concatenate([psi.T for psi, _ in blocks]))
+    return FiniteGroup(h.n_flags, tuple(map(Permutation._wrap, matrix)), matrix)
 
 
 def automorphisms(h: Hypermap) -> FiniteGroup:

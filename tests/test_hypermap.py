@@ -785,3 +785,16 @@ class TestPublicNames:
                 assert isinstance(obj, type) and issubclass(obj, HypermapsError), name
             else:
                 assert name in module.__all__, f"{name} is missing from {module.__name__}.__all__"
+
+    def test_every_submodule_export_resolves(self):
+        # a stale name in __all__ breaks only `from hypermaps.<module> import *`
+        import importlib
+        import pkgutil
+
+        import hypermaps
+
+        names = [info.name for info in pkgutil.walk_packages(hypermaps.__path__, "hypermaps.")]
+        assert {"hypermaps.perm", "hypermaps.catalog.cli"} <= set(names)
+        for module in map(importlib.import_module, ["hypermaps", *names]):
+            for name in getattr(module, "__all__", ()):
+                assert hasattr(module, name), f"{module.__name__}.__all__ lists missing {name}"

@@ -14,15 +14,17 @@ from hypermaps import (
     NotNormal,
     NotTransitive,
     Permutation,
+    automorphisms,
     generate_group,
+    irregularity,
     normal_closure,
     orbits,
-    point_stabilizer,
     quotient_action,
     recognize_group,
     validate,
 )
 from hypermaps import perm as perm_module
+from hypermaps import quotients
 from hypermaps.build import build_platonic, pin, regular_from_type, walsh
 from hypermaps.perm import schreier_sims
 from hypermaps.hypermap import monodromy_group
@@ -152,8 +154,7 @@ class TestOrbits:
     def test_orbit_stabilizer_product(self):
         g = generate_group(bf.dihedral_gens(6), degree=6)
         orb = orbits(list(g.generators), 6)[0]
-        stab = point_stabilizer(g, 0)
-        assert len(orb) * stab.order == g.order
+        assert len(orb) * np.count_nonzero(g.matrix[:, 0] == 0) == g.order
 
 
 @st.composite
@@ -213,35 +214,61 @@ class TestSchreierSims:
 
 
 class TestPointStabilizer:
+    """Stabilizer orders read off the enumeration."""
+
     def test_regular_action_has_trivial_stabilizer(self):
         g = generate_group([perm((0, 1, 2, 3, 4), degree=5)])
-        assert point_stabilizer(g, 2).order == 1
+        assert np.count_nonzero(g.matrix[:, 2] == 2) == 1
 
     def test_natural_dihedral_stabilizer_has_order_two(self):
         for n in (3, 4, 5):
             g = generate_group(bf.dihedral_gens(n), degree=n)
-            assert point_stabilizer(g, 0).order == 2
+            assert np.count_nonzero(g.matrix[:, 0] == 0) == 2
 
     def test_flag_stabilizer_of_doubled_tetrahedron(self):
         g = monodromy_group(pin(build_platonic("T")))
         assert g.degree == 48
-        assert point_stabilizer(g, 0).order == 12
+        assert generate_group(g.matrix[g.matrix[:, 0] == 0], g.degree).order == 12
 
-    def test_out_of_range_point(self):
-        g = generate_group([perm((0, 1), degree=2)])
-        with pytest.raises(ValueError):
-            point_stabilizer(g, 5)
 
-    def test_few_generators_generate_exactly_the_stabilizer(self):
-        cases = [(generate_group([perm((0, 1, 2, 3, 4), degree=5)]), 2)]
-        cases += [(generate_group(bf.dihedral_gens(n), degree=n), 0) for n in (3, 4, 5)]
-        cases += [(monodromy_group(pin(build_platonic(name))), 0) for name in ("T", "D")]
-        for g, point in cases:
-            stab = point_stabilizer(g, point)
-            assert np.array_equal(stab.matrix, g.matrix[g.matrix[:, point] == point])
-            assert len(stab.generators) <= max(1, np.log2(stab.order))
-            closure = generate_group(stab.generators, degree=g.degree)
-            assert {row.tobytes() for row in closure.matrix} == {row.tobytes() for row in stab.matrix}
+class TestLazyIndex:
+    """The element index is built on the first membership lookup, once."""
+
+    def test_automorphisms_and_upsilon_build_no_index(self, monkeypatch):
+        deck, decks = quotients._automorphism_group, []
+
+        def spy(*args):
+            decks.append(deck(*args))
+            return decks[-1]
+
+        monkeypatch.setattr(quotients, "_automorphism_group", spy)
+        for h in (pin(build_platonic("T")), walsh(build_platonic("D"))):
+            aut = automorphisms(h)
+            report = irregularity(h)
+            assert decks[-1].order == report.index and aut.order == h.n_flags // 2
+            for g in (aut, decks[-1]):
+                assert g._index is None
+                assert g.matrix.flags.c_contiguous and not g.matrix.flags.writeable
+        assert len(decks) == 2
+
+    def test_first_lookup_builds_the_index_once(self):
+        g = monodromy_group(pin(build_platonic("T")))
+        member = g.element(g.order - 1)
+        outsider = perm((0, 1), degree=g.degree)
+        assert not (g.matrix == outsider.images).all(axis=1).any()
+        assert g._index is None
+        assert member in g
+        index = g._index
+        assert len(index) == g.order
+        assert outsider not in g
+        assert g._index is index
+
+    def test_matrix_is_c_contiguous_and_read_only(self):
+        g = generate_group(bf.dihedral_gens(6), degree=6)
+        n = normal_closure(g, [g.element(3)])
+        aut = automorphisms(walsh(build_platonic("T")))
+        for group in (g, n, aut, FiniteGroup(6, g.generators, np.asfortranarray(g.matrix))):
+            assert group.matrix.flags.c_contiguous and not group.matrix.flags.writeable
 
 
 def _alt5_group() -> FiniteGroup:
@@ -310,12 +337,11 @@ class TestNormalClosure:
         # plain tuples, must reach exactly 3600 elements
         g = monodromy_group(pin(build_platonic("D")))
         assert g.order == 14400
-        stab = point_stabilizer(g, 0)
+        stab = g.matrix[g.matrix[:, 0] == 0]
         gens = [tuple(int(v) for v in p.images) for p in g.generators]
-        seeds = [tuple(int(v) for v in p.images) for p in stab.generators]
-        naive = bf.normal_closure_brute(gens, seeds)
+        naive = bf.normal_closure_brute(gens, map(tuple, stab.tolist()))
         assert len(naive) == 3600
-        closure = normal_closure(g, list(stab.generators))
+        closure = normal_closure(g, stab)
         assert closure.order == 3600
         assert closure.order == (g.order // g.degree) ** 2
 
@@ -361,8 +387,7 @@ class TestQuotientAction:
         # generator images must satisfy every short relation the
         # originals satisfy
         g = monodromy_group(build_platonic("C"))
-        stab = point_stabilizer(g, 0)
-        normal = normal_closure(g, list(stab.generators))
+        normal = normal_closure(g, g.matrix[g.matrix[:, 0] == 0])
         _, images = quotient_action(g, normal)
         originals = list(g.generators)
         import itertools
@@ -507,7 +532,7 @@ class TestRecognizeGroup:
 
     def test_flag_stabilizer_of_doubled_tetrahedron_is_alt4(self):
         g = monodromy_group(pin(build_platonic("T")))
-        stab = point_stabilizer(g, 0)
+        stab = generate_group(g.matrix[g.matrix[:, 0] == 0], g.degree)
         assert recognize_group(stab) == GroupName("Alt4")
 
     def test_unrecognized_order(self):
@@ -548,7 +573,7 @@ class TestFiniteGroupInvariants:
             assert g.degree <= 48
             for x in range(g.degree):
                 orbit = {int(row[x]) for row in g.matrix}
-                assert len(orbit) * point_stabilizer(g, x).order == g.order
+                assert len(orbit) * np.count_nonzero(g.matrix[:, x] == x) == g.order
 
     def test_elements_are_closed_and_contain_inverses(self):
         g = generate_group(bf.dihedral_gens(4), degree=4)

@@ -29,11 +29,11 @@ from hypermaps import (
     canonical_code,
     closure_cover,
     covering_core,
-    delta0_monodromy,
     dual,
     euler_characteristic,
     find_covering,
     from_text,
+    generate_group,
     irregularity,
     is_bipartite_uniform,
     is_regular,
@@ -42,16 +42,14 @@ from hypermaps import (
     k_faces,
     normal_closure,
     pin,
-    point_stabilizer,
     relabel,
     theta_coloring,
     to_text,
     type_of,
     walsh,
 )
-from hypermaps.hypermap import monodromy_group
+from hypermaps.hypermap import _vertex_class_restriction, monodromy_group
 from hypermaps.perm import schreier_sims
-from hypermaps.quotients import _delta0_generators
 
 # wal(pin(T)) has a monodromy group of order 331776; quotient
 # constructions on it exhaust memory, so covering checks skip it
@@ -360,8 +358,7 @@ def monodromy_and_closure_orders_on_bipartite_regular(catalog, mon_order, **_):
             violations.append(f"{name}: group orders")
         if mon_order[name] <= 2500:
             mon = monodromy_group(h)
-            stab = point_stabilizer(mon, 0)
-            nc = normal_closure(mon, list(stab.generators))
+            nc = normal_closure(mon, mon.matrix[mon.matrix[:, 0] == 0])
             if nc.order != irr.index**2:
                 violations.append(f"{name}: closure order")
     assert violations == []
@@ -374,9 +371,10 @@ def delta0_monodromy_order_for_every_doubling(catalog, wal_of, pin_of, mon_order
     for name, _ in catalog:
         expected = mon_order[name]
         for label, d in ((f"wal({name})", wal_of[name]), (f"pin({name})", pin_of[name])):
-            if schreier_sims(_delta0_generators(d))[0] != expected:
+            gens = _vertex_class_restriction(d)
+            if schreier_sims(gens)[0] != expected:
                 violations.append(label)
-            if expected <= MON_CAP and delta0_monodromy(d).order != expected:
+            if expected <= MON_CAP and generate_group(gens).order != expected:
                 violations.append(f"{label}: enumerated")
     assert violations == []
 

@@ -25,11 +25,11 @@ from hypermaps import (
     euler_characteristic,
     find_covering,
     from_text,
+    generate_group,
     is_regular,
     is_theta_regular,
     normal_closure,
     perm,
-    point_stabilizer,
     quotient_action,
     recognize_group,
     surface_class,
@@ -41,19 +41,17 @@ from hypermaps._kernels import DTYPE
 from hypermaps.build import build_Dn, build_Mk, build_platonic, build_Pn, pin, walsh
 from hypermaps.catalog import build_named, verify_table1, verify_table2, verify_table3, verify_theorem_mk
 from hypermaps.catalog.oracle import fixed_point_free_involutions
-from hypermaps.hypermap import _bfs_tree, _extensions, monodromy_group
+from hypermaps.hypermap import _bfs_tree, _extensions, _vertex_class_restriction, monodromy_group
 from hypermaps.quotients import (
     QuotientSummary,
     _closure_action,
     _closure_summary,
-    _delta0_generators,
     _merge,
     _stab_and_closure,
     analyze,
     closure_cover,
     core_summary,
     covering_core,
-    delta0_monodromy,
     irregularity,
 )
 
@@ -94,7 +92,7 @@ def assert_matches_group_reference(h):
     """closure_cover and core_summary against the explicit group constructions:
     Mon modulo the normal closure of the flag-0 stabilizer, and the core."""
     mon = monodromy_group(h)
-    count, perms = quotient_action(mon, normal_closure(mon, point_stabilizer(mon, 0).generators))
+    count, perms = quotient_action(mon, normal_closure(mon, mon.matrix[mon.matrix[:, 0] == 0]))
     if any(p.is_identity() for p in perms):
         with pytest.raises(Degenerate):
             closure_cover(h)
@@ -413,7 +411,8 @@ class TestDerivedMonodromy:
         assume(elements is not None)
         assert core_summary(h).flags == analyze(h).monodromy_order == len(elements)
         if is_theta_regular(h, BIPARTITE):
-            stab = point_stabilizer(monodromy_group(h), 0)
+            mon = monodromy_group(h)
+            stab = generate_group(mon.matrix[mon.matrix[:, 0] == 0], mon.degree)
             report = irregularity(h)
             assert (report.index, report.group) == (stab.order, recognize_group(stab))
 
@@ -471,7 +470,7 @@ class TestGroupFree:
             mon = monodromy_group(h)
             assert core.flags == mon.order
             if irr is not None:
-                stab = point_stabilizer(mon, 0)
+                stab = generate_group(mon.matrix[mon.matrix[:, 0] == 0], mon.degree)
                 assert (irr.index, irr.group) == (stab.order, recognize_group(stab))
 
     def test_doubled_pin_tetrahedron(self, monkeypatch):
@@ -547,33 +546,36 @@ class TestIrregularity:
 
 
 class TestDelta0Monodromy:
+    """The group of t1, t2, t0 t1 t0, t0 t2 t0 on the color-0 flags."""
+
     def test_doubled_tetrahedron_map(self):
         t = build_platonic("T")
-        g = delta0_monodromy(walsh(t))
+        g = generate_group(_vertex_class_restriction(walsh(t)))
         assert g.order == monodromy_group(t).order == 24
 
     def test_doubled_dodecahedron(self):
         d = build_platonic("D")
-        assert delta0_monodromy(pin(d)).order == monodromy_group(d).order == 120
+        gens = _vertex_class_restriction(pin(d))
+        assert generate_group(gens).order == perm.schreier_sims(gens)[0] == monodromy_group(d).order == 120
 
     def test_doubled_dipoles(self):
         for n in (2, 3, 5):
-            assert delta0_monodromy(walsh(build_Dn(n))).order == 2 * n
+            assert generate_group(_vertex_class_restriction(walsh(build_Dn(n)))).order == 2 * n
 
     def test_requires_bipartite(self):
         with pytest.raises(NotBipartite):
-            delta0_monodromy(build_platonic("T"))
+            _vertex_class_restriction(build_platonic("T"))
 
     def test_acts_on_one_color_class(self):
         w = walsh(build_Pn(2))
-        g = delta0_monodromy(w)
+        g = generate_group(_vertex_class_restriction(w))
         assert g.degree == w.n_flags // 2
 
     def test_generators_match_definition_on_every_double(self, catalog, wal_of, pin_of):
         for name, _ in catalog:
             for d in (wal_of[name], pin_of[name]):
                 expected = bf.vertex_class_restriction(bf.as_triple(d), 0)
-                assert tuple(map(tuple, _delta0_generators(d).tolist())) == expected, name
+                assert tuple(map(tuple, _vertex_class_restriction(d).tolist())) == expected, name
 
 
 class TestAnalyze:
