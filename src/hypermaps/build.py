@@ -6,11 +6,12 @@ a^2 = b^2 = c^2 = 1 are built into the table itself (entries are filled
 symmetrically), so presentations list only the additional relators.
 
 Enumeration over the trivial subgroup turns a finite presentation into the
-regular hypermap whose flags are the group elements. Walsh and Pin are one
-doubling of a hypermap's flag set, differing only in t2 on copy 1;
-unwalsh/unpin recover the original by one restriction to a vertex color
-class (up to the documented choices). Every builder hands its generator
-rows to the checked Hypermap constructor.
+regular hypermap whose flags are the group elements; a relator (x y)^k is
+scanned once per <x, y>-orbit of cosets, so a long one costs linear time.
+Walsh and Pin are one doubling of a hypermap's flag set, differing only in
+t2 on copy 1; unwalsh/unpin recover the original by one restriction to a
+vertex color class (up to the documented choices). Every builder hands its
+generator rows to the checked Hypermap constructor.
 """
 
 from __future__ import annotations
@@ -77,9 +78,21 @@ def todd_coxeter(presentation: Presentation, coset_limit: int = 1_000_000) -> Co
     ancestor chain with the smaller coset surviving, so the result is
     deterministic. Raises LimitExceeded if more than coset_limit cosets get
     defined before the table closes.
+
+    A relator (x y)^k is scanned once per <x, y>-orbit. Once it holds at a
+    live coset c, it holds at every coset of c's orbit, which is the path it
+    traces from c: at c (xy)^i it reads the same cycle from another start,
+    and at c x it reads x (xy)^k = (yx)^k x, the cycle backwards. So that
+    path is marked, and marked cosets skip the scan, which would only read
+    defined entries and close; coincidences keep the relation at the
+    surviving cosets. The table is the one plain HLT gives, with each such
+    relator costing O(length) per orbit instead of per coset.
     """
     rows: list[list[int | None]] = [[None, None, None]]
     parent = [0]
+    # bit r of held[c]: relator r, of the form (x y)^k, holds at coset c
+    held = [0]
+    periodic = [w == w[:2] * (len(w) // 2) for w in presentation.relators]
 
     def find(c: int) -> int:
         root = c
@@ -95,6 +108,7 @@ def todd_coxeter(presentation: Presentation, coset_limit: int = 1_000_000) -> Co
         d = len(rows)
         rows.append([None, None, None])
         parent.append(d)
+        held.append(0)
         rows[c][g] = d
         rows[d][g] = c
         return d
@@ -152,15 +166,29 @@ def todd_coxeter(presentation: Presentation, coset_limit: int = 1_000_000) -> Co
                 return
             define(f, word[i])
 
+    def mark(c: int, x: int, y: int, bit: int) -> None:
+        d = c
+        while True:
+            held[d] |= bit
+            d = rows[d][x]
+            held[d] |= bit
+            d = rows[d][y]
+            if d == c:
+                return
+
     c = 0
     while c < len(rows):
         if find(c) != c:
             c += 1
             continue
-        for word in presentation.relators:
+        for r, word in enumerate(presentation.relators):
+            if held[c] >> r & 1:
+                continue
             scan_and_fill(c, word)
             if find(c) != c:
                 break
+            if periodic[r]:
+                mark(c, word[0], word[1], 1 << r)
         if find(c) == c:
             for g in range(3):
                 if rows[c][g] is None:

@@ -149,14 +149,6 @@ def _cmd_transform(args) -> int:
     return _write_document(out, args)
 
 
-def _json_safe(value):
-    if isinstance(value, tuple):
-        return [_json_safe(v) for v in value]
-    if isinstance(value, dict):
-        return {k: _json_safe(v) for k, v in value.items()}
-    return value
-
-
 def _analysis_dict(report: AnalysisReport) -> dict:
     irr = report.irregularity
     return {
@@ -256,8 +248,8 @@ def _rows_json(rows: tuple[VerificationRow, ...]) -> str:
             "row_id": r.row_id,
             "label": r.label,
             "status": "match" if r.matches else "mismatch",
-            "expected": _json_safe(r.expected),
-            "computed": _json_safe(r.computed),
+            "expected": r.expected,
+            "computed": r.computed,
             "mismatches": list(r.mismatches()),
         }
         for r in rows

@@ -27,8 +27,11 @@ which come by one of two group-free paths. When the automorphisms have at
 most two flag orbits, one extension from flag 0 along h's tree gives its
 Schreier generators on the edges off the tree, and |G| is read off the
 classes; otherwise |G| and the generators come from one Schreier–Sims
-chain (perm.schreier_sims). Upsilon is read off the automorphisms, so no
-analysis enumerates a group.
+chain (perm.schreier_sims). Upsilon is the deck group, the automorphisms
+sending flag 0 into its class: each one's order is the length of flag 0's
+cycle in its column of the extension from flag 0 to that class, and the
+group is named from those orders, so no analysis enumerates a group or
+builds a group object.
 
 analyze() bundles the classification data for one hypermap into a report
 without listing the automorphism group, so it stays usable on inputs whose
@@ -38,6 +41,7 @@ monodromy groups are much larger than the flag set.
 from __future__ import annotations
 
 import functools
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,12 +61,11 @@ from .hypermap import (
     surface_class,
     type_of,
 )
-from .perm import GroupName, recognize_group, schreier_sims
+from .perm import GroupName, _group_name, schreier_sims
 from .theta import (
     BIPARTITE,
     PARITY_VECTORS,
     BipartiteType,
-    _automorphism_group,
     _stab_matched_flags,
     bipartite_type,
     is_bipartite_chiral,
@@ -169,8 +172,10 @@ def _stab_and_closure(h: Hypermap) -> tuple[np.ndarray, int]:
         order, stab = schreier_sims(rows, h.n_flags)
         points = np.broadcast_to(np.arange(h.n_flags, dtype=DTYPE), stab.shape)
         pairs = np.stack([points.ravel(), stab.ravel()])
-    # roots are the least flag of each class, so their order is first appearance
-    labels = np.unique(_merge(rows, pairs), return_inverse=True)[1].astype(DTYPE)
+    # roots are the least flag of each class, so numbering them in flag order
+    # numbers the classes by first appearance
+    roots = _merge(rows, pairs)
+    labels = (np.cumsum(roots == np.arange(h.n_flags), dtype=DTYPE) - 1)[roots]
     labels.setflags(write=False)
     if order is None:
         order = h.n_flags * int(np.count_nonzero(labels == 0))
@@ -218,11 +223,23 @@ class IrregularityReport:
 
 
 def irregularity(h: Hypermap) -> IrregularityReport:
-    """Index and Upsilon, read off the deck group over the closure cover."""
+    """Index and Upsilon, read off the deck group over the closure cover:
+    column t of the extension from flag 0 to its class is the deck
+    automorphism sending 0 to the class's t-th flag, and its order is the
+    length of flag 0's cycle in that column (Aut acts semiregularly)."""
     if not is_theta_regular(h, BIPARTITE):
         raise NotBipartiteRegular("irregularity is defined for bipartite-regular hypermaps")
-    deck = _automorphism_group(h, np.flatnonzero(_stab_and_closure(h)[0] == 0))
-    return IrregularityReport(deck.order, recognize_group(deck), deck.order, deck.order)
+    targets = np.flatnonzero(_stab_and_closure(h)[0] == 0).astype(DTYPE)
+    blocks = _extensions(_flag_tree(h), h.generator_matrix(), targets)
+    psi = np.concatenate([psi for psi, _ in blocks], axis=1)
+    orders = np.empty(targets.size, dtype=np.int64)
+    cols, point, k = np.arange(targets.size), targets, 1
+    while cols.size:
+        back = point == 0
+        orders[cols[back]] = k
+        cols, point, k = cols[~back], psi[point[~back], cols[~back]], k + 1
+    order = targets.size
+    return IrregularityReport(order, _group_name(Counter(orders.tolist())), order, order)
 
 
 @dataclass(frozen=True)

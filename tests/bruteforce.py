@@ -379,3 +379,95 @@ def covering_exists(a, b) -> bool:
 def as_triple(h) -> tuple[tuple[int, ...], ...]:
     """Convert a package Hypermap to the plain-tuple form used here."""
     return tuple(tuple(int(v) for v in p.images) for p in h.h)
+
+
+def todd_coxeter(relators, coset_limit: int) -> tuple[tuple[int, int, int], ...] | None:
+    """Plain HLT coset enumeration over the trivial subgroup of the group
+    generated by three involutions 0, 1, 2 with the given relator words:
+    every relator is scanned at every live coset, in coset order, before the
+    coset's open entries are defined. Entries are set in symmetric pairs;
+    coincidences merge with the smaller coset surviving. Returns the closed
+    table's rows (image of each coset under 0, 1, 2), cosets renumbered in
+    order, or None once more than coset_limit cosets would be defined."""
+    rows = [[None, None, None]]
+    parent = [0]
+
+    def find(c):
+        while parent[c] != c:
+            c = parent[c]
+        return c
+
+    def define(c, g):
+        if len(rows) >= coset_limit:
+            return None
+        rows.append([None, None, None])
+        parent.append(len(rows) - 1)
+        rows[c][g] = len(rows) - 1
+        rows[-1][g] = c
+        return len(rows) - 1
+
+    def coincidence(a, b):
+        queue = []
+
+        def merge(a, b):
+            a, b = find(a), find(b)
+            if a != b:
+                a, b = min(a, b), max(a, b)
+                parent[b] = a
+                queue.append(b)
+
+        merge(a, b)
+        while queue:
+            dead = queue.pop(0)
+            for g in range(3):
+                d = rows[dead][g]
+                if d is None:
+                    continue
+                rows[dead][g] = None
+                if rows[d][g] == dead:
+                    rows[d][g] = None
+                mu, nu = find(dead), find(d)
+                if rows[mu][g] is not None:
+                    merge(nu, rows[mu][g])
+                elif rows[nu][g] is not None:
+                    merge(mu, rows[nu][g])
+                else:
+                    rows[mu][g], rows[nu][g] = nu, mu
+
+    def scan_and_fill(c, word):
+        """False once the coset limit is reached."""
+        f, b, i, j = c, c, 0, len(word) - 1
+        while True:
+            while i <= j and rows[f][word[i]] is not None:
+                f, i = rows[f][word[i]], i + 1
+            if i > j:
+                if f != b:
+                    coincidence(f, b)
+                return True
+            while j >= i and rows[b][word[j]] is not None:
+                b, j = rows[b][word[j]], j - 1
+            if j < i:
+                coincidence(f, b)
+                return True
+            if i == j:
+                rows[f][word[i]], rows[b][word[i]] = b, f
+                return True
+            if define(f, word[i]) is None:
+                return False
+
+    c = 0
+    while c < len(rows):
+        if find(c) == c:
+            for word in relators:
+                if not scan_and_fill(c, word):
+                    return None
+                if find(c) != c:
+                    break
+            if find(c) == c:
+                for g in range(3):
+                    if rows[c][g] is None and define(c, g) is None:
+                        return None
+        c += 1
+    live = [c for c in range(len(rows)) if find(c) == c]
+    number = {c: i for i, c in enumerate(live)}
+    return tuple(tuple(number[find(rows[c][g])] for g in range(3)) for c in live)

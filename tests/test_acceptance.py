@@ -1,4 +1,4 @@
-"""Acceptance gate: seven criteria, each printing one PASS/FAIL line.
+"""Acceptance gate: eight criteria, each printing one PASS/FAIL line.
 
 Budgets are wall-clock seconds of each criterion's own run, on the numpy
 kernels. Run with -s (or read failure output) to see the per-criterion
@@ -13,6 +13,8 @@ this module still runs every law, once.
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from hypermaps import (
@@ -22,6 +24,7 @@ from hypermaps import (
     regular_from_type,
     type_of,
 )
+from hypermaps.catalog import verify_table3, verify_theorem_mk
 from hypermaps.hypermap import monodromy_group
 
 from conftest import LawResults
@@ -153,6 +156,23 @@ def test_criterion_7_general_classification(table2, table3, theorem_mk, law_resu
         f"{'all match' if t2_ok and t3_ok and mk_ok else 'MISMATCH'}, "
         f"laws {'green' if laws_ok else 'RED'}, "
         f"search {'clean' if search_ok else 'DIRTY'}",
+    )
+
+
+def test_criterion_8_tables_at_eight_times_their_printed_range():
+    """Table 3 to n = 40 and Theorem M_k to k = 64, 8 times the printed
+    sizes; the verifiers at 100 and 128 are a separate timed run (README)."""
+    start = time.perf_counter()
+    t3 = verify_table3(40)
+    mk = verify_theorem_mk(64)
+    elapsed = time.perf_counter() - start
+    bad = [r.row_id for r in t3 + mk if not r.matches]
+    cyclic = all(r.computed["ups_wal"] == f"Cyclic({2 * k})" for k, r in enumerate(mk, 1))
+    ok = not bad and len(t3) == 296 and len(mk) == 64 and cyclic and elapsed < 4.0
+    _verdict(
+        8,
+        ok,
+        f"{len(t3)} + {len(mk)} rows, mismatches={bad}, {elapsed:.2f}s (budget 4s)",
     )
 
 

@@ -1,6 +1,10 @@
 """Coset enumeration, the named builders, and the doubling constructions."""
 
+import time
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hypermaps import (
     Degenerate,
@@ -23,6 +27,7 @@ from hypermaps import (
     type_of,
     valencies,
 )
+from hypermaps import build
 from hypermaps.build import (
     build_Dn,
     build_Mk,
@@ -35,9 +40,11 @@ from hypermaps.build import (
     unwalsh,
     walsh,
 )
+from hypermaps.catalog.registry import CATALOG_NAMES, build_named
 from hypermaps.hypermap import monodromy_group
 
 import bruteforce as bf
+from test_benchmark_names import load
 
 
 def type_relators(l: int, m: int, n: int) -> Presentation:
@@ -86,6 +93,114 @@ class TestToddCoxeter:
     def test_empty_relator_rejected(self):
         with pytest.raises(ValueError):
             Presentation(relators=((),))
+
+
+def assert_matches_plain_hlt(presentation: Presentation, coset_limit: int = 1_000_000) -> None:
+    """todd_coxeter gives plain HLT's table, or both pass the coset limit."""
+    reference = bf.todd_coxeter(presentation.relators, coset_limit)
+    if reference is None:
+        with pytest.raises(LimitExceeded):
+            todd_coxeter(presentation, coset_limit)
+    else:
+        assert tuple(map(tuple, todd_coxeter(presentation, coset_limit).table.tolist())) == reference
+
+
+def builder_presentations(monkeypatch, builds) -> list[Presentation]:
+    """The presentation of every todd_coxeter call the builds make."""
+    seen = []
+
+    def spy(presentation, *args):
+        seen.append(presentation)
+        return todd_coxeter(presentation, *args)
+
+    monkeypatch.setattr(build, "todd_coxeter", spy)
+    for make in builds:
+        make()
+    return seen
+
+
+def spherical_types(bound: int) -> list[tuple[int, int, int]]:
+    """Every (l, m, n) <= bound with 1/l + 1/m + 1/n > 1: a finite group."""
+    sides = range(1, bound + 1)
+    return [(l, m, n) for l in sides for m in sides for n in sides if m * n + l * n + l * m > l * m * n]
+
+
+class TestOneScanPerOrbit:
+    """Scanning a relator (x y)^k once per <x, y>-orbit leaves the coset
+    table that plain HLT (tests/bruteforce.py) gives, scanning every relator
+    at every coset."""
+
+    def test_catalog_atoms(self, monkeypatch):
+        atoms = [name for name in CATALOG_NAMES if "(" not in name]
+        seen = builder_presentations(monkeypatch, [lambda name=name: build_named.__wrapped__(name) for name in atoms])
+        assert len(atoms) == len(seen) == 25
+        for presentation in seen:
+            assert_matches_plain_hlt(presentation)
+
+    def test_benchmark_finite_types(self):
+        finite_types = load("worker").FINITE_TYPES
+        assert finite_types
+        for lmn in finite_types:
+            assert_matches_plain_hlt(type_relators(*lmn))
+
+    def test_every_spherical_type_up_to_twelve(self):
+        types = spherical_types(12)
+        assert len(types) == 443
+        for lmn in types:
+            assert_matches_plain_hlt(type_relators(*lmn))
+
+    def test_one_face_maps_up_to_sixteen(self, monkeypatch):
+        seen = builder_presentations(monkeypatch, [lambda k=k: build_Mk(k) for k in range(1, 17)])
+        assert len(seen) == 16
+        for presentation in seen:
+            assert_matches_plain_hlt(presentation)
+
+    @pytest.mark.parametrize(
+        "relators",
+        [
+            ((0, 1) * 4, (1, 2) * 2, (2, 0) * 2),
+            ((0, 1), (1, 2), (2, 0)),
+            ((0, 1) * 2, (1, 2) * 3, (2, 0) * 3),
+            ((2, 0, 1, 0, 1, 0, 1, 0), (0, 1) * 6),
+            ((0, 1, 0), (0, 2) * 3),
+            ((0, 1, 2) * 2, (0, 1) * 2, (1, 2) * 2, (2, 0) * 2),
+            ((0, 1, 1, 2), (0, 1) * 3),
+            ((0, 0), (1, 2) * 3, (0, 2) * 2, (0, 1) * 5, (1, 2) * 6),
+            ((1, 0) * 3, (0, 1) * 3, (2, 1) * 2, (0, 2) * 4),
+        ],
+    )
+    def test_presentations(self, relators):
+        assert_matches_plain_hlt(Presentation(relators))
+
+    def test_infinite_group_passes_the_limit_at_the_same_point(self):
+        for lmn in [(3, 3, 3), (2, 3, 6), (2, 4, 4), (2, 2, 2)]:
+            assert_matches_plain_hlt(type_relators(*lmn), coset_limit=400)
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        relators=st.lists(
+            st.one_of(
+                st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(1, 6)).map(
+                    lambda xyk: (xyk[0], xyk[1]) * xyk[2]
+                ),
+                st.lists(st.integers(0, 2), min_size=1, max_size=9).map(tuple),
+            ),
+            min_size=1,
+            max_size=5,
+        )
+    )
+    @example(relators=[(0, 1) * 3, (1, 2) * 2, (0, 2) * 3, (2, 1, 0) * 2])
+    def test_random_presentations(self, relators):
+        assert_matches_plain_hlt(Presentation(tuple(relators)), coset_limit=300)
+
+    def test_long_relator_is_linear(self):
+        # (h0 h1)^4000 is scanned at 2 cosets, not at all 16,000: plain HLT
+        # took 6.7 to 13 s on 2 shared cores, this about 0.1 s
+        start = time.perf_counter()
+        h = regular_from_type(2, 2, 4000)
+        elapsed = time.perf_counter() - start
+        assert h.n_flags == 16_000 and type_of(h).as_tuple() == (2, 2, 4000)
+        assert elapsed < 2.0, f"{elapsed:.2f}s (budget 2s)"
 
 
 class TestRegularFromType:

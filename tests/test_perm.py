@@ -24,7 +24,6 @@ from hypermaps import (
     validate,
 )
 from hypermaps import perm as perm_module
-from hypermaps import quotients
 from hypermaps.build import build_platonic, pin, regular_from_type, walsh
 from hypermaps.perm import schreier_sims
 from hypermaps.hypermap import monodromy_group
@@ -60,6 +59,22 @@ class TestPermutation:
         c = perm((0, 1, 2), (3, 4), degree=6)
         assert c.order() == 6
         assert c.order() == bf.perm_order(tuple(int(v) for v in c.images))
+
+    @settings(max_examples=60, deadline=None)
+    @given(degree=st.integers(1, 70), count=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
+    @example(degree=1, count=1, seed=0)
+    @example(degree=64, count=1, seed=0)
+    @example(degree=65, count=1, seed=0)
+    def test_cycle_doubling_orders_match_naive(self, degree, count, seed):
+        rng = np.random.default_rng(seed)
+        rows = np.array([rng.permutation(degree) for _ in range(count)], dtype=np.int32)
+        if degree > 1:
+            rows[0] = np.roll(np.arange(degree), 1)  # one cycle through every point
+        elems = [tuple(row) for row in rows.tolist()]
+        assert perm_module._orders(rows).tolist() == [bf.perm_order(e) for e in elems]
+        group = FiniteGroup(degree, (), rows)
+        assert tuple(sorted(group.element_orders().tolist())) == bf.element_orders(elems)
+        assert [Permutation(row).order() for row in rows] == [bf.perm_order(e) for e in elems]
 
     def test_involution_and_fixed_points(self):
         t = perm((0, 1), degree=4)
@@ -235,21 +250,22 @@ class TestLazyIndex:
     """The element index is built on the first membership lookup, once."""
 
     def test_automorphisms_and_upsilon_build_no_index(self, monkeypatch):
-        deck, decks = quotients._automorphism_group, []
+        """Aut builds its group without an index; Upsilon builds no group."""
+        init, built = FiniteGroup.__init__, []
 
-        def spy(*args):
-            decks.append(deck(*args))
-            return decks[-1]
+        def spy(group, *args):
+            init(group, *args)
+            built.append(group)
 
-        monkeypatch.setattr(quotients, "_automorphism_group", spy)
-        for h in (pin(build_platonic("T")), walsh(build_platonic("D"))):
-            aut = automorphisms(h)
+        monkeypatch.setattr(FiniteGroup, "__init__", spy)
+        for h, index in ((pin(build_platonic("T")), 12), (walsh(build_platonic("D")), 60)):
+            built.clear()
             report = irregularity(h)
-            assert decks[-1].order == report.index and aut.order == h.n_flags // 2
-            for g in (aut, decks[-1]):
-                assert g._index is None
-                assert g.matrix.flags.c_contiguous and not g.matrix.flags.writeable
-        assert len(decks) == 2
+            assert report.index == index and built == []
+            aut = automorphisms(h)
+            assert aut.order == h.n_flags // 2 and built == [aut]
+            assert aut._index is None
+            assert aut.matrix.flags.c_contiguous and not aut.matrix.flags.writeable
 
     def test_first_lookup_builds_the_index_once(self):
         g = monodromy_group(pin(build_platonic("T")))

@@ -39,7 +39,7 @@ from hypermaps import (
 from hypermaps import hypermap, quotients, theta, to_text
 from hypermaps._kernels import DTYPE
 from hypermaps.build import build_Dn, build_Mk, build_platonic, build_Pn, pin, walsh
-from hypermaps.catalog import build_named, verify_table1, verify_table2, verify_table3, verify_theorem_mk
+from hypermaps.catalog import build_named, tables, verify_table1, verify_table2, verify_table3, verify_theorem_mk
 from hypermaps.catalog.oracle import fixed_point_free_involutions
 from hypermaps.hypermap import _bfs_tree, _extensions, _vertex_class_restriction, monodromy_group
 from hypermaps.quotients import (
@@ -543,6 +543,40 @@ class TestIrregularity:
         h = pin(build_platonic("C"))
         report = irregularity(h)
         assert monodromy_group(h).order == h.n_flags * report.index
+
+
+class TestUpsilonFromDeckExtension:
+    """Upsilon named from the flag-0 cycle lengths of the deck extension
+    equals Upsilon recognized from the enumerated deck group."""
+
+    @staticmethod
+    def assert_matches_deck_group(h):
+        deck = theta._automorphism_group(h, np.flatnonzero(_stab_and_closure(h)[0] == 0))
+        report = irregularity(h)
+        assert (report.index, report.group) == (deck.order, recognize_group(deck))
+        return report.group
+
+    def test_bipartite_regular_catalog_entries(self, catalog, wal_of, pin_of):
+        inputs = [h for _, h in catalog] + list(wal_of.values()) + list(pin_of.values())
+        inputs = [h for h in inputs if is_theta_regular(h, BIPARTITE)]
+        assert len(inputs) == 136
+        tags = {self.assert_matches_deck_group(h).tag for h in inputs}
+        assert tags == {"Trivial", "Cyclic", "Dihedral", "KleinFour", "Alt4", "Sym4", "Alt5"}
+
+    def test_table3_to_twelve(self):
+        exprs = {
+            spec.expr.format(n=n)
+            for spec in tables._T3_ROWS
+            for n in (range(1, 13) if spec.parameterized else (0,))
+        }
+        assert len(exprs) == 100
+        for expr in sorted(exprs):
+            self.assert_matches_deck_group(build_named(expr))
+
+    def test_doubled_one_face_maps_to_sixteen(self):
+        for k in range(1, 17):
+            for double in (walsh, pin):
+                self.assert_matches_deck_group(double(build_Mk(k)))
 
 
 class TestDelta0Monodromy:
