@@ -9,8 +9,7 @@ all, generate_group under right multiplication by the generators, in the
 given order, and normal_closure under right multiplication by the seeds and
 conjugation by the ambient generators. A closure that passes ORDER_LIMIT
 elements, or whose next round would hold more than BYTE_LIMIT bytes of
-elements, raises LimitExceeded. Element orders come from cycle-length
-doubling over all rows at once. recognize_group names a group from the
+elements, raises LimitExceeded. recognize_group names a group from the
 histogram of its element orders alone (_group_name, which also names
 Upsilon from orders read off without a group).
 All values are immutable after construction, except that a FiniteGroup
@@ -62,23 +61,15 @@ def _freeze(row: np.ndarray) -> np.ndarray:
 
 
 def _orders(rows: np.ndarray) -> np.ndarray:
-    """Order of each permutation row (g, n): the lcm of its cycle lengths.
-
-    Cycle-length doubling: after r rounds least[p] is the least of p and
-    its next 2**r - 1 images, so ceil(log2 n) rounds give each point the
-    least point of its cycle, and the number of points a least point
-    labels is its cycle's length. O(g n log n), in flat positions so that
-    one take serves every row.
-    """
-    g, n = rows.shape
-    at = np.arange(0, g * n, n).reshape(-1, 1)
-    step = (rows + at).ravel()
-    least = np.arange(g * n)
-    for _ in range((n - 1).bit_length()):
-        least = np.minimum(least, least[step])
-        step = step[step]
-    sizes = np.bincount(least, minlength=g * n).reshape(g, n)
-    return np.lcm.reduce(np.maximum(sizes, 1), axis=1)
+    """Order of each permutation row: the lcm of its cycle lengths."""
+    points = np.arange(rows.shape[1], dtype=DTYPE)
+    cycle = np.zeros(rows.shape, dtype=np.int64)  # cycle length of each point, once known
+    power, k = rows, 1
+    while True:
+        cycle[(cycle == 0) & (power == points)] = k
+        if cycle.all():
+            return np.lcm.reduce(cycle, axis=1)
+        power, k = np.take_along_axis(rows, power, axis=1), k + 1
 
 
 class Permutation:

@@ -60,22 +60,6 @@ class TestPermutation:
         assert c.order() == 6
         assert c.order() == bf.perm_order(tuple(int(v) for v in c.images))
 
-    @settings(max_examples=60, deadline=None)
-    @given(degree=st.integers(1, 70), count=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
-    @example(degree=1, count=1, seed=0)
-    @example(degree=64, count=1, seed=0)
-    @example(degree=65, count=1, seed=0)
-    def test_cycle_doubling_orders_match_naive(self, degree, count, seed):
-        rng = np.random.default_rng(seed)
-        rows = np.array([rng.permutation(degree) for _ in range(count)], dtype=np.int32)
-        if degree > 1:
-            rows[0] = np.roll(np.arange(degree), 1)  # one cycle through every point
-        elems = [tuple(row) for row in rows.tolist()]
-        assert perm_module._orders(rows).tolist() == [bf.perm_order(e) for e in elems]
-        group = FiniteGroup(degree, (), rows)
-        assert tuple(sorted(group.element_orders().tolist())) == bf.element_orders(elems)
-        assert [Permutation(row).order() for row in rows] == [bf.perm_order(e) for e in elems]
-
     def test_involution_and_fixed_points(self):
         t = perm((0, 1), degree=4)
         assert t.is_involution()
