@@ -275,13 +275,27 @@ def build_Mk(k: int) -> Hypermap:
 def _double(h: Hypermap, odd_t2: int) -> Hypermap:
     """The double of h on flags (w, c) encoded as 2w + c: t0 swaps the copies,
     t1 acts as h1 on copy 0 and h0 on copy 1, t2 as h2 on copy 0 and as
-    h_odd_t2 on copy 1."""
-    rows = h.generator_matrix()
-    t = np.empty((3, 2 * h.n_flags), dtype=DTYPE)
-    t[0] = np.arange(2 * h.n_flags, dtype=DTYPE) ^ 1
+    h_odd_t2 on copy 1 (odd_t2 is 0 or 2).
+
+    It is valid by construction, so nothing is checked. t0 = x ^ 1 and the
+    copies' rows are fixed-point-free involutions. It is transitive, since
+    (w,0) t0 t1 t0 = (w h0, 0), so copy 0 sees every h_i, and t0 reaches
+    copy 1. Its faces are h's: the 0-faces are h's on copy 0 and the
+    <h0, h_odd_t2>-orbits on copy 1; a 1-face is both copies of an
+    <h2, h_odd_t2>-orbit and a 2-face both copies of an h 2-face.
+    """
+    rows, faces, n = h.generator_matrix(), h._faces, h.n_flags
+    t = np.empty((3, 2 * n), dtype=DTYPE)
+    t[0] = np.arange(2 * n, dtype=DTYPE) ^ 1
     t[1:, 0::2] = 2 * rows[1:]
     t[1:, 1::2] = 2 * rows[[0, odd_t2]] + 1
-    return Hypermap(2 * h.n_flags, *t)
+    pairs = np.minimum(np.arange(n, dtype=DTYPE), rows[odd_t2])  # the <h_odd_t2>-orbits
+    vertex1, edge = (faces[1], pairs) if odd_t2 == 2 else (pairs, faces[1])
+    f = np.empty((3, 2 * n), dtype=DTYPE)
+    f[0, 0::2], f[0, 1::2] = 2 * faces[0], 2 * vertex1 + 1
+    f[1, 0::2] = f[1, 1::2] = 2 * edge
+    f[2, 0::2] = f[2, 1::2] = 2 * faces[2]
+    return object.__new__(Hypermap)._fill(t, f)
 
 
 def walsh(h: Hypermap) -> Hypermap:

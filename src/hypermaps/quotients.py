@@ -100,26 +100,28 @@ def _merge(q: np.ndarray, pairs: np.ndarray) -> np.ndarray:
     """Root of each class after joining the pairs and closing under q.
 
     Union-find with coincidence processing: joining two roots forces their
-    images under each generator together, as in coset enumeration.
+    images under each generator together, as in coset enumeration. The
+    larger root always goes under the smaller, and path halving only moves
+    a point to an ancestor, so parents only decrease: one pass in flag order
+    then puts every point on its root, the least point of its class.
     """
     parent = list(range(q.shape[1]))
-    rows = q.tolist()
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    r0, r1, r2 = q.tolist()
     stack = list(zip(pairs[0].tolist(), pairs[1].tolist()))
     while stack:
         a, b = stack.pop()
-        a, b = find(a), find(b)
-        if a == b:
-            continue
-        parent[max(a, b)] = min(a, b)
-        stack.extend((row[a], row[b]) for row in rows)
-    return np.fromiter((find(x) for x in range(len(parent))), dtype=DTYPE, count=len(parent))
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        while parent[b] != b:
+            parent[b] = b = parent[parent[b]]
+        if a != b:
+            if a > b:
+                a, b = b, a
+            parent[b] = a
+            stack += ((r0[a], r0[b]), (r1[a], r1[b]), (r2[a], r2[b]))
+    for x, p in enumerate(parent):
+        parent[x] = parent[p]
+    return np.array(parent, dtype=DTYPE)
 
 
 @functools.lru_cache(maxsize=64)

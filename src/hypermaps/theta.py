@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import DTYPE
+from ._kernels import DTYPE, _orbit_labels
 from .errors import NotBipartite, NotConservative
 from .hypermap import Hypermap, _extensions, _face_valencies, _flag_tree, _parity_coloring
 from .perm import FiniteGroup, Permutation, _freeze
@@ -110,16 +110,57 @@ def theta_coloring(h: Hypermap, eps: ParityVector) -> tuple[int, ...] | None:
     return None if colors is None else tuple(colors.tolist())
 
 
+# Targets of the first round of _stab_matched_flags, and of each round after
+# one that found a new automorphism; maps of at most twice this many flags
+# test every flag in one round, which costs them less than the orbit work.
+_MATCH_BLOCK = 64
+
+
 @functools.lru_cache(maxsize=64)
 def _stab_matched_flags(h: Hypermap) -> np.ndarray:
     """Boolean mask over flags: some automorphism sends flag 0 there.
 
     A flag x is matched exactly when the equivariant extension 0 -> x is
     consistent (equivalently, when x's monodromy stabilizer equals flag
-    0's); all flags are tested together, over h's tree from flag 0.
+    0's), over h's tree from flag 0. Aut acts semiregularly, so the matched
+    flags are flag 0's Aut-orbit, and each orbit of a group H of found
+    automorphisms is wholly matched or wholly unmatched: x g is matched
+    exactly when x = (x g) g^-1 is, for g in H. So a first round tests the
+    first _MATCH_BLOCK flags, and each round keeps up to 8 of its consistent
+    columns as generators of H. Each later round tests the least flag of
+    every H-orbit that holds no tested flag (the first _MATCH_BLOCK of them
+    after a round that found a new automorphism, each consistent one being
+    new, and all of them after a round that found none), and every orbit is
+    marked from any tested member.
     """
-    targets = np.arange(h.n_flags, dtype=DTYPE)
-    mask = np.concatenate([ok for _, ok in _extensions(_flag_tree(h), h.generator_matrix(), targets)])
+    tree, rows, n = _flag_tree(h), h.generator_matrix(), h.n_flags
+    points = np.arange(n, dtype=DTYPE)
+    if n <= 2 * _MATCH_BLOCK:
+        mask = np.concatenate([ok for _, ok in _extensions(tree, rows, points)])
+        mask.setflags(write=False)
+        return mask
+    labels, gens = points, np.empty((0, n), dtype=DTYPE)
+    tested, hit = np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
+    targets, last = points[:_MATCH_BLOCK], False
+    while targets.size:
+        new = []
+        for psi, ok in _extensions(tree, rows, targets):
+            hit[psi[0]] = ok
+            new.extend(psi[:, np.flatnonzero(ok & (psi[0] != 0))[:8 - len(new)]].T)
+        if last:
+            break
+        tested[targets] = True
+        if new:
+            gens = np.vstack([gens, *new])
+            labels = _orbit_labels(gens, labels)
+        seen = np.zeros(n, dtype=bool)
+        seen[labels[tested]] = True
+        targets = np.flatnonzero((labels == points) & ~seen).astype(DTYPE)
+        last = not new or targets.size <= _MATCH_BLOCK
+        targets = targets if last else targets[:_MATCH_BLOCK]
+    matched = np.zeros(n, dtype=bool)
+    matched[labels[hit]] = True
+    mask = matched[labels]
     mask.setflags(write=False)
     return mask
 
@@ -149,6 +190,8 @@ def is_regular(h: Hypermap) -> bool:
     """|Aut| == |flags| (equivalently |Mon| == |flags|).
 
     True exactly when the extension from flag 0 to every flag is consistent.
+    Past 128 flags the mask tests the first 64 targets, and the orbit of
+    flag 0 under 8 automorphisms found there usually covers the rest.
     """
     return bool(_stab_matched_flags(h).all())
 

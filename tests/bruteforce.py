@@ -376,6 +376,35 @@ def covering_exists(a, b) -> bool:
     return False
 
 
+def merge_fixpoint(rows, pairs) -> tuple[int, ...]:
+    """Least point of each class of the finest partition that joins every
+    pair and is closed under rows: x ~ y implies x g ~ y g for each row g.
+
+    Joins classes until nothing changes, rescanning every joined couple
+    after each pass.
+    """
+    label = list(range(len(rows[0])))
+
+    def join(a, b):
+        old, new = max(label[a], label[b]), min(label[a], label[b])
+        for x, lab in enumerate(label):
+            if lab == old:
+                label[x] = new
+        return old != new
+
+    for a, b in pairs:
+        join(a, b)
+    changed = True
+    while changed:
+        changed = False
+        for x in range(len(label)):
+            for y in range(x + 1, len(label)):
+                if label[x] == label[y]:
+                    for row in rows:
+                        changed |= join(row[x], row[y])
+    return tuple(label)
+
+
 def as_triple(h) -> tuple[tuple[int, ...], ...]:
     """Convert a package Hypermap to the plain-tuple form used here."""
     return tuple(tuple(int(v) for v in p.images) for p in h.h)

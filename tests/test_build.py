@@ -2,6 +2,7 @@
 
 import time
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -41,7 +42,7 @@ from hypermaps.build import (
     walsh,
 )
 from hypermaps.catalog.registry import CATALOG_NAMES, build_named
-from hypermaps.hypermap import monodromy_group
+from hypermaps.hypermap import Hypermap, monodromy_group
 
 import bruteforce as bf
 from test_benchmark_names import load
@@ -431,6 +432,16 @@ class TestExactImages:
             triple = bf.as_triple(h)
             assert bf.as_triple(wal_of[name]) == bf.walsh_triple(triple), name
             assert bf.as_triple(pin_of[name]) == bf.pin_triple(triple), name
+
+    def test_doubles_equal_the_checked_construction(self, catalog):
+        # the doubles skip the constructor's checks and derive their faces
+        # from h's; the checked constructor must accept them and agree
+        for name, h in catalog:
+            for double in (walsh(h), pin(h)):
+                checked = Hypermap(double.n_flags, *double.generator_matrix())
+                assert double == checked, name
+                assert np.array_equal(double._faces, checked._faces), name
+                assert double._tree is None, name
 
     def test_unwalsh_inverts_walsh(self, catalog, wal_of):
         for name, h in catalog:

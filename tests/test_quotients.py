@@ -288,6 +288,32 @@ class TestClosureCover:
         assert analyze(h).closure_cover is None
 
 
+class TestMerge:
+    """The union-find closure against a fixpoint that rescans every joined
+    couple: random permutation rows (not involutions), 0 to 5 random pairs."""
+
+    def test_random_rows_and_pairs_match_reference(self):
+        rng = np.random.default_rng(29)
+        classes = set()
+        for _ in range(300):
+            n = int(rng.integers(1, 41))
+            rows = np.stack([rng.permutation(n) for _ in range(3)]).astype(DTYPE)
+            pairs = rng.integers(0, n, size=(2, int(rng.integers(0, 6)))).astype(DTYPE)
+            roots = _merge(rows, pairs)
+            assert roots.dtype == DTYPE
+            expected = bf.merge_fixpoint(rows.tolist(), list(zip(*pairs.tolist())))
+            assert roots.tolist() == list(expected)
+            classes.add(min(len(set(expected)), 3))
+        assert classes == {1, 2, 3}  # one class, two, and more
+
+    def test_catalog_closures_match_reference(self, catalog):
+        for _, h in catalog[:20]:
+            rows = h.generator_matrix()
+            pairs = np.array([[0, 0], [1, h.n_flags - 1]], dtype=DTYPE)
+            expected = bf.merge_fixpoint(rows.tolist(), list(zip(*pairs.tolist())))
+            assert _merge(rows, pairs).tolist() == list(expected)
+
+
 def assert_summary_matches_built_cover(h):
     try:
         cc = closure_cover(h)

@@ -14,6 +14,7 @@ from hypermaps import (
     NotConservative,
     NotTransitive,
     ParityVector,
+    Permutation,
     automorphisms,
     bipartite_type,
     euler_characteristic,
@@ -21,12 +22,15 @@ from hypermaps import (
     is_bipartite_uniform,
     is_regular,
     is_theta_regular,
+    relabel,
     theta_coloring,
     theta_preserving_automorphisms,
     validate,
 )
-from hypermaps import dual, perm
+from hypermaps import dual, perm, theta
 from hypermaps.build import build_Mk, build_platonic, build_Pn, pin, walsh
+from hypermaps.catalog import build_named
+from hypermaps.hypermap import _extensions
 from hypermaps.theta import _stab_matched_flags
 
 import bruteforce as bf
@@ -301,6 +305,88 @@ class TestExtensionMask:
     @example(triple=ASYMMETRIC_12)
     def test_random_triples_match_reference(self, triple):
         assert_mask_matches_reference(validate(len(triple[0]), *triple))
+
+
+def random_transitive(rng, n):
+    """A seeded random transitive triple of fixed-point-free involutions on n flags."""
+    while True:
+        rows = []
+        for _ in range(3):
+            points = rng.permutation(n)
+            images = np.empty(n, dtype=np.int64)
+            images[points[0::2]], images[points[1::2]] = points[1::2], points[0::2]
+            rows.append(images)
+        try:
+            return validate(n, *rows)
+        except NotTransitive:
+            pass
+
+
+# Past 64 flags: one Aut-orbit (M64, regular), two (pin(P20), wal(M16),
+# pin(dual01(D))), four (wal(pin(T))), and one per flag (the random maps).
+MASK_MAPS = ("M64", "pin(P20)", "wal(M16)", "wal(pin(T))", "pin(dual01(D))")
+
+
+class TestMatchedFlagsFromOrbits:
+    """The mask read off orbits of found automorphisms, against the
+    all-target reference, with rounds of the default size and of 8 and 24
+    targets (so that every map here takes several rounds), and with
+    extension blocks of 100 and 1000 entries that rounds straddle."""
+
+    @pytest.fixture(scope="class")
+    def cases(self):
+        rng = np.random.default_rng(29)
+        maps = [build_named(name) for name in MASK_MAPS]
+        maps += [random_transitive(rng, n) for n in (96, 130, 176, 240)]
+        out = []
+        for h in maps:
+            triple = bf.as_triple(h)
+            out.append((h, [bf.extend_morphism(triple, triple, x) is not None for x in range(h.n_flags)]))
+        # pin(dual01(D)) relabelled so that the flags Aut sends 0 to come
+        # last: the first rounds find no automorphism
+        h, expected = out[4]
+        order = sorted(range(h.n_flags), key=lambda x: (x > 0 and expected[x], x))
+        sigma = np.argsort(order)
+        out.append((relabel(h, Permutation(sigma)), [expected[x] for x in order]))
+        return out
+
+    def test_orbit_counts(self, cases):
+        counts = [h.n_flags // sum(expected) for h, expected in cases]
+        assert counts == [1, 2, 2, 4, 2, 96, 130, 176, 240, 2]
+        assert cases[-1][1][:121] == [True] + [False] * 120
+
+    @pytest.mark.parametrize("rounds", [None, 8, 24])
+    @pytest.mark.parametrize("block", [None, 100, 1000])
+    def test_matches_reference(self, cases, extension_block, monkeypatch, rounds, block):
+        if rounds is not None:
+            monkeypatch.setattr(theta, "_MATCH_BLOCK", rounds)
+        if block is not None:
+            extension_block(block)
+        _stab_matched_flags.cache_clear()
+        for h, expected in cases:
+            assert _stab_matched_flags(h).tolist() == expected
+
+    def test_catalog_in_rounds_of_eight(self, catalog, extension_block, monkeypatch):
+        monkeypatch.setattr(theta, "_MATCH_BLOCK", 8)
+        extension_block(1000)
+        for _, h in catalog:
+            assert_mask_matches_reference(h)
+
+    def test_doubled_prism_tests_few_targets(self, monkeypatch):
+        # pin(P400) has 3,200 flags and two Aut-orbits; the all-target sweep
+        # tested all 3,200
+        h = build_named("pin(P400)")
+        tested = []
+
+        def spy(tree, b_rows, targets, grow=False):
+            tested.append(targets.shape[0])
+            return _extensions(tree, b_rows, targets, grow)
+
+        monkeypatch.setattr(theta, "_extensions", spy)
+        _stab_matched_flags.cache_clear()
+        assert int(_stab_matched_flags(h).sum()) == 1600
+        assert sum(tested) <= 128
+        _stab_matched_flags.cache_clear()
 
 
 # Bipartite, on the Klein bottle (chi 0): only (1,0,0) colors it.
