@@ -9,7 +9,9 @@ and the automorphism group is transitive on the color class of flag 0.
 Automorphisms are the generator-equivariant flag bijections. One sending
 flag 0 to a flag x exists exactly when the equivariant extension 0 -> x is
 consistent, and then it is unique; everything here is computed from those
-extensions (hypermap._extensions), so no monodromy group is enumerated.
+extensions (hypermap._extensions), so no monodromy group is enumerated. Past
+128 flags not every flag is extended to: the orbits of a few automorphisms
+found on the way decide the rest (_stab_matched_flags).
 """
 
 from __future__ import annotations
