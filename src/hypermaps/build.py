@@ -11,7 +11,8 @@ scanned once per <x, y>-orbit of cosets, so a long one costs linear time.
 Walsh and Pin are one doubling of a hypermap's flag set, differing only in
 t2 on copy 1; unwalsh/unpin recover the original by one restriction to a
 vertex color class (up to the documented choices). Every builder hands its
-generator rows to the checked Hypermap constructor.
+generator rows to the checked Hypermap constructor, except the doubles,
+which are valid by construction and hand over rows only.
 """
 
 from __future__ import annotations
@@ -218,7 +219,12 @@ def regular_from_type(l: int, m: int, n: int) -> Hypermap:
     """
     if min(l, m, n) < 1:
         raise ValueError("type components must be positive")
-    table = todd_coxeter(Presentation(((1, 2) * l, (2, 0) * m, (0, 1) * n)))
+    return _from_presentation(Presentation(((1, 2) * l, (2, 0) * m, (0, 1) * n)))
+
+
+def _from_presentation(presentation: Presentation) -> Hypermap:
+    """The regular hypermap on presentation's group; Degenerate if a generator has a fixed point."""
+    table = todd_coxeter(presentation)
     rows = table.table.T
     fixed = (rows == np.arange(table.n_cosets)).any(axis=1)
     if fixed.any():
@@ -267,9 +273,7 @@ def build_Mk(k: int) -> Hypermap:
     """
     if k < 1:
         raise ValueError("k must be positive")
-    relators = ((0, 1) * (2 * k), (2, 0) + (1, 0) * k)
-    table = todd_coxeter(Presentation(relators))
-    return Hypermap(table.n_cosets, *table.table.T)
+    return _from_presentation(Presentation(((0, 1) * (2 * k), (2, 0) + (1, 0) * k)))
 
 
 def _double(h: Hypermap, odd_t2: int) -> Hypermap:
@@ -280,22 +284,14 @@ def _double(h: Hypermap, odd_t2: int) -> Hypermap:
     It is valid by construction, so nothing is checked. t0 = x ^ 1 and the
     copies' rows are fixed-point-free involutions. It is transitive, since
     (w,0) t0 t1 t0 = (w h0, 0), so copy 0 sees every h_i, and t0 reaches
-    copy 1. Its faces are h's: the 0-faces are h's on copy 0 and the
-    <h0, h_odd_t2>-orbits on copy 1; a 1-face is both copies of an
-    <h2, h_odd_t2>-orbit and a 2-face both copies of an h 2-face.
+    copy 1.
     """
-    rows, faces, n = h.generator_matrix(), h._faces, h.n_flags
+    rows, n = h.generator_matrix(), h.n_flags
     t = np.empty((3, 2 * n), dtype=DTYPE)
     t[0] = np.arange(2 * n, dtype=DTYPE) ^ 1
     t[1:, 0::2] = 2 * rows[1:]
     t[1:, 1::2] = 2 * rows[[0, odd_t2]] + 1
-    pairs = np.minimum(np.arange(n, dtype=DTYPE), rows[odd_t2])  # the <h_odd_t2>-orbits
-    vertex1, edge = (faces[1], pairs) if odd_t2 == 2 else (pairs, faces[1])
-    f = np.empty((3, 2 * n), dtype=DTYPE)
-    f[0, 0::2], f[0, 1::2] = 2 * faces[0], 2 * vertex1 + 1
-    f[1, 0::2] = f[1, 1::2] = 2 * edge
-    f[2, 0::2] = f[2, 1::2] = 2 * faces[2]
-    return object.__new__(Hypermap)._fill(t, f)
+    return object.__new__(Hypermap)._fill(t)
 
 
 def walsh(h: Hypermap) -> Hypermap:

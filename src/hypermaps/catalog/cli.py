@@ -17,9 +17,9 @@ from pathlib import Path
 
 from ..build import (
     Presentation,
+    _from_presentation,
     pin,
     regular_from_type,
-    todd_coxeter,
     unpin,
     unwalsh,
     walsh,
@@ -121,8 +121,7 @@ def _cmd_build(args) -> int:
     else:  # from-presentation
         if args.params is None:
             raise _UsageError("from-presentation needs a relator list")
-        table = todd_coxeter(_parse_relators(args.params))
-        h = Hypermap(table.n_cosets, *table.table.T)
+        h = _from_presentation(_parse_relators(args.params))
     return _write_document(h, args)
 
 

@@ -20,14 +20,11 @@ comparison is exact.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable
 
 from ..hypermap import (
     Hypermap,
-    _face_valencies,
-    _parity_coloring,
     are_isomorphic,
     euler_characteristic,
     is_uniform,
@@ -37,7 +34,7 @@ from ..hypermap import (
 )
 from ..perm import schreier_sims
 from ..quotients import closure_cover, core_summary, irregularity
-from ..theta import BIPARTITE, is_regular, is_theta_regular
+from ..theta import BIPARTITE, bipartite_type, is_regular, is_theta_regular
 from .registry import build_named
 
 __all__ = [
@@ -88,31 +85,17 @@ def _dihedral(n: int) -> str:
     return f"Dihedral({n})"
 
 
-def _profile(vals: Iterable[int]) -> tuple[tuple[int, int], ...]:
-    """Sorted (valency, count) pairs of some valencies."""
-    return tuple(sorted(Counter(vals).items()))
-
-
-def _face_profile(h: Hypermap, k: int) -> tuple[tuple[int, int], ...]:
-    """Sorted (valency, count) pairs over the k-faces."""
-    return _profile(valencies(h, k))
-
-
-def _vertex_class_profile(h: Hypermap) -> tuple[tuple[int, int], ...] | None:
-    """Per-color-class (valency, count), sorted; None when classes mix valencies."""
-    colors = _parity_coloring(h, BIPARTITE.eps)
-    if colors is None:
-        return None
-    first, vals = _face_valencies(h, 0)
-    per_class = [_profile(vals[colors[first] == c].tolist()) for c in (0, 1)]
-    if any(len(cls) != 1 for cls in per_class):
-        return None
-    return tuple(sorted(cls[0] for cls in per_class))
-
-
-def _single_profile(h: Hypermap, k: int) -> tuple[int, int] | None:
-    profile = _face_profile(h, k)
-    return profile[0] if len(profile) == 1 else None
+def _profiles(h: Hypermap) -> tuple:
+    """The sorted per-color-class (valency, count) vertex pairs and the
+    (valency, count) edge and face pairs of a bipartite-uniform h, else
+    (None, None, None). Each color class holds n/2 flags and a face of
+    valency v holds 2v flags, so each count follows from bipartite_type."""
+    t = bipartite_type(h)
+    if t is None:
+        return None, None, None
+    n = h.n_flags
+    vertex = ((t.l1, n // (4 * t.l1)), (t.l2, n // (4 * t.l2)))
+    return vertex, (t.m, n // (2 * t.m)), (t.n, n // (2 * t.n))
 
 
 # ---------------------------------------------------------------- table 1
@@ -250,10 +233,11 @@ def verify_table2(n_max: int = 6) -> tuple[VerificationRow, ...]:
                 "bipartite_regular": True,
                 "chi": 2,
             }
+            vertex, edge, face = _profiles(h)
             computed = {
-                "vertex_profile": _vertex_class_profile(h),
-                "edge_profile": _single_profile(h, 1),
-                "face_profile": _single_profile(h, 2),
+                "vertex_profile": vertex,
+                "edge_profile": edge,
+                "face_profile": face,
                 "flags": h.n_flags,
                 "bipartite_regular": is_theta_regular(h, BIPARTITE),
                 "chi": euler_characteristic(h),
@@ -499,8 +483,8 @@ def verify_theorem_mk(k_max: int = 8) -> tuple[VerificationRow, ...]:
             "genus": surf.genus,
             "orientable": surf.orientable,
             "regular": is_regular(mk),
-            "pin_profile": _vertex_class_profile(p),
-            "wal_profile": _vertex_class_profile(w),
+            "pin_profile": _profiles(p)[0],
+            "wal_profile": _profiles(w)[0],
             "iota_pin": prep.index,
             "iota_wal": wrep.index,
             "ups_wal": str(wrep.group),

@@ -10,11 +10,11 @@ Values are immutable and hashable. A hypermap is its read-only (3, n_flags)
 generator matrix; h.h and h0-h2 are Permutation views of its rows, made on
 access. Builders hand their rows to the one checked constructor: it checks
 each for n_flags integer images in range (Permutations are trusted), stacks
-them once, checks involutions and fixed points while labelling the k-faces,
-and transitivity while building one breadth-first tree from flag 0, which
-gives the walk parities and spans every equivariant extension from flag 0
-(duals and relabellings skip the checks and build theirs on first use).
-From first use it keeps its face valencies and parity colorings. The
+them once, checks involutions and fixed points, and transitivity while
+building one breadth-first tree from flag 0, which gives the walk parities
+and spans every equivariant extension from flag 0 (duals, relabellings and
+the doubles skip the checks and build theirs on first use). From first use
+it keeps its k-face labels, face valencies and parity colorings. The
 monodromy group is memoized for the four most recently used
 hypermaps only, since one group can hold hundreds of megabytes.
 """
@@ -123,14 +123,20 @@ class Hypermap:
                 raise ValueError(f"h{i} image out of range")
             rows.append(row)
         matrix = np.array(rows, dtype=DTYPE)
-        self._fill(matrix, _face_labels(matrix), _bfs_tree(matrix))
+        # each row, of images in range, must be a fixed-point-free involution (so a bijection)
+        points = np.arange(n_flags, dtype=DTYPE)
+        twice, fixed = matrix[[[0], [1], [2]], matrix] == points, matrix == points
+        for i in np.flatnonzero((fixed | ~twice).any(axis=1))[:1].tolist():  # the first bad row
+            if not twice[i].all():
+                raise NotInvolution(i)
+            raise HasFixedPoint(i, int(fixed[i].argmax()))
+        self._fill(matrix, _bfs_tree(matrix))
 
-    def _fill(self, rows: np.ndarray, faces: np.ndarray, tree: "_Tree | None" = None) -> "Hypermap":
-        """Set the slots from checked (3, n_flags) generator images, k-face
-        labels and tree (None: built on first use); freezes both arrays."""
+    def _fill(self, rows: np.ndarray, tree: "_Tree | None" = None) -> "Hypermap":
+        """Set the slots from checked (3, n_flags) generator images, frozen
+        here, and their tree (None: built on first use)."""
         rows.setflags(write=False)
-        faces.setflags(write=False)
-        for name, value in zip(self.__slots__, (rows.shape[1], rows, None, faces, tree, {}, {})):
+        for name, value in zip(self.__slots__, (rows.shape[1], rows, None, None, tree, {}, {})):
             object.__setattr__(self, name, value)
         return self
 
@@ -164,16 +170,13 @@ class Hypermap:
 validate = Hypermap
 
 
-def _face_labels(rows: np.ndarray) -> np.ndarray:
-    """The k-face labels (3, n) of rows (3, n) of images in range, checked
-    row by row as fixed-point-free involutions (so bijections)."""
-    points = np.arange(rows.shape[1], dtype=DTYPE)
-    twice, fixed = rows[[[0], [1], [2]], rows] == points, rows == points
-    for i in np.flatnonzero((fixed | ~twice).any(axis=1))[:1].tolist():  # the first bad row
-        if not twice[i].all():
-            raise NotInvolution(i)
-        raise HasFixedPoint(i, int(fixed[i].argmax()))
-    return _pair_orbit_labels(rows[[1, 0, 0]], rows[[2, 2, 1]])
+def _face_labels(h: Hypermap) -> np.ndarray:
+    """The (3, n) k-face labels, each flag's least k-face flag; kept on h,
+    read-only, from the first call."""
+    if h._faces is None:
+        rows = h._rows
+        object.__setattr__(h, "_faces", _freeze(_pair_orbit_labels(rows[[1, 0, 0]], rows[[2, 2, 1]])))
+    return h._faces
 
 
 def _face_valencies(h: Hypermap, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -181,7 +184,7 @@ def _face_valencies(h: Hypermap, k: int) -> tuple[np.ndarray, np.ndarray]:
     size; kept on h, read-only, from the first call."""
     kept = h._valencies.get(k)
     if kept is None:
-        labels = h._faces[k]
+        labels = _face_labels(h)[k]
         first = np.flatnonzero(labels == np.arange(h.n_flags))
         kept = h._valencies[k] = (_freeze(first), _freeze(np.bincount(labels)[first] // 2))
     return kept
@@ -189,7 +192,7 @@ def _face_valencies(h: Hypermap, k: int) -> tuple[np.ndarray, np.ndarray]:
 
 def k_faces(h: Hypermap, k: int) -> tuple[tuple[int, ...], ...]:
     """Orbits of the two generators other than h_k, listed by smallest member."""
-    return _orbit_tuples(h._faces[k])
+    return _orbit_tuples(_face_labels(h)[k])
 
 
 def valencies(h: Hypermap, k: int) -> tuple[int, ...]:
@@ -318,29 +321,19 @@ def dual(h: Hypermap, sigma: tuple[int, int, int]) -> Hypermap:
     """
     if tuple(sorted(sigma)) != (0, 1, 2):
         raise ValueError(f"sigma {sigma!r} is not a permutation of (0, 1, 2)")
-    inv = np.argsort(sigma)
-    # a dual of a valid hypermap is valid; its k-faces are h's inv[k]-faces
-    return object.__new__(Hypermap)._fill(h._rows[inv], h._faces[inv])
+    # a dual of a valid hypermap is valid
+    return object.__new__(Hypermap)._fill(h._rows[np.argsort(sigma)])
 
 
 def relabel(h: Hypermap, sigma: Permutation) -> Hypermap:
     """Rename flags by sigma (old flag x becomes sigma(x)).
 
-    A relabelling of a valid hypermap is valid, so nothing is checked again,
-    and h's k-faces carry across: each is labelled by its least new flag.
+    A relabelling of a valid hypermap is valid, so nothing is checked again.
     """
-    n = h.n_flags
-    if sigma.degree != n:
+    if sigma.degree != h.n_flags:
         raise ValueError("relabeling degree mismatch")
     s = sigma.images
-    inv = np.argsort(s)
-    # position k * n + label of each old flag's k-face, and its least new flag
-    at = h._faces + np.arange(0, 3 * n, n, dtype=DTYPE)[:, None]
-    least = np.full(3 * n, n, dtype=DTYPE)
-    np.minimum.at(least, at.reshape(-1), np.tile(s, 3))
-    faces = np.empty((3, n), dtype=DTYPE)
-    faces[:, s] = least[at]
-    return object.__new__(Hypermap)._fill(s[h._rows[:, inv]], faces)
+    return object.__new__(Hypermap)._fill(s[h._rows[:, np.argsort(s)]])
 
 
 @functools.lru_cache(maxsize=64)

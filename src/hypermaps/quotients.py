@@ -14,9 +14,9 @@ For a hypermap with monodromy group G acting on the flags:
   group: the coset-coincidence union-find of coset enumeration (Holt, Eick
   & O'Brien, Handbook of Computational Group Theory, 2005, ch. 5). When a
   generator acts trivially on them the quotient is no hypermap and
-  closure_cover() raises Degenerate. analyze() derives its flags, type
-  and genus from the generators' action on the classes, without building
-  it;
+  closure_cover() raises Degenerate; otherwise the generators' action on
+  the classes is the cover, built without checks, and analyze() reads its
+  flags, type and genus with the functions every hypermap uses;
 * the irregularity index is |G| / |flags| (1 exactly for regular maps),
   and for bipartite-regular hypermaps the flag stabilizer itself is a
   group Upsilon whose isomorphism type refines the index.
@@ -29,9 +29,9 @@ Schreier generators on the edges off the tree, and |G| is read off the
 classes; otherwise |G| and the generators come from one Schreier–Sims
 chain (perm.schreier_sims). Upsilon is the deck group, the automorphisms
 sending flag 0 into its class: each one's order is the length of flag 0's
-cycle in its column of the extension from flag 0 to that class, and the
-group is named from those orders, so no analysis enumerates a group or
-builds a group object.
+cycle in its row of theta._automorphism_matrix, and the group is named
+from those orders, so no analysis enumerates a group or builds a group
+object.
 
 analyze() bundles the classification data for one hypermap into a report
 without listing the automorphism group, so it stays usable on inputs whose
@@ -46,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import DTYPE, _pair_orbit_labels, _row_index
+from ._kernels import DTYPE, _row_index
 from .errors import Degenerate, NotBipartiteRegular
 from .hypermap import (
     Hypermap,
@@ -66,6 +66,7 @@ from .theta import (
     BIPARTITE,
     PARITY_VECTORS,
     BipartiteType,
+    _automorphism_matrix,
     _stab_matched_flags,
     bipartite_type,
     is_bipartite_chiral,
@@ -194,19 +195,21 @@ def _closure_action(h: Hypermap, labels: np.ndarray) -> np.ndarray:
 def closure_cover(h: Hypermap) -> Hypermap:
     """The largest regular hypermap covered by h.
 
-    Generators act on the closure-cover classes of the flags. Raises
-    Degenerate when a generator acts trivially on the classes, so that the
-    quotient is no hypermap (for example when Mon is the full symmetric
-    group and there is one class).
+    Generators act on the closure-cover classes of the flags. The cover is
+    regular, so a generator fixing one class fixes them all, and it acts
+    trivially exactly when it keeps flag 0 in its class. Raises Degenerate
+    when one does, so that the quotient is no hypermap (for example when
+    Mon is the full symmetric group and there is one class). Otherwise the
+    action is a hypermap, so it is not checked again: the classes are
+    blocks of Mon, which each generator permutes as an involution with no
+    fixed point; and it is transitive as h's action is.
     """
-    images = _closure_action(h, _stab_and_closure(h)[0])
-    count = images.shape[1]
-    trivial = [f"h{i}" for i, img in enumerate(images) if np.array_equal(img, np.arange(count))]
-    if trivial:
-        raise Degenerate(
-            f"trivial generators {', '.join(trivial)} in the closure cover (class count {count})"
-        )
-    return Hypermap(count, *images)
+    labels = _stab_and_closure(h)[0]
+    trivial = np.flatnonzero(labels[h.generator_matrix()[:, 0]] == 0)
+    if trivial.size:
+        names = ", ".join(f"h{i}" for i in trivial)
+        raise Degenerate(f"trivial generators {names} in the closure cover (class count {labels.max() + 1})")
+    return object.__new__(Hypermap)._fill(_closure_action(h, labels))
 
 
 @dataclass(frozen=True)
@@ -226,20 +229,19 @@ class IrregularityReport:
 
 def irregularity(h: Hypermap) -> IrregularityReport:
     """Index and Upsilon, read off the deck group over the closure cover:
-    column t of the extension from flag 0 to its class is the deck
-    automorphism sending 0 to the class's t-th flag, and its order is the
-    length of flag 0's cycle in that column (Aut acts semiregularly)."""
+    row t of its matrix is the deck automorphism sending 0 to the t-th flag
+    of flag 0's class, and its order is the length of flag 0's cycle in
+    that row (Aut acts semiregularly)."""
     if not is_theta_regular(h, BIPARTITE):
         raise NotBipartiteRegular("irregularity is defined for bipartite-regular hypermaps")
-    targets = np.flatnonzero(_stab_and_closure(h)[0] == 0).astype(DTYPE)
-    blocks = _extensions(_flag_tree(h), h.generator_matrix(), targets)
-    psi = np.concatenate([psi for psi, _ in blocks], axis=1)
+    targets = np.flatnonzero(_stab_and_closure(h)[0] == 0)
+    deck = _automorphism_matrix(h, targets)
     orders = np.empty(targets.size, dtype=np.int64)
-    cols, point, k = np.arange(targets.size), targets, 1
-    while cols.size:
+    rows, point, k = np.arange(targets.size), targets, 1
+    while rows.size:
         back = point == 0
-        orders[cols[back]] = k
-        cols, point, k = cols[~back], psi[point[~back], cols[~back]], k + 1
+        orders[rows[back]] = k
+        rows, point, k = rows[~back], deck[rows[~back], point[~back]], k + 1
     order = targets.size
     return IrregularityReport(order, _group_name(Counter(orders.tolist())), order, order)
 
@@ -277,30 +279,18 @@ def core_summary(h: Hypermap) -> QuotientSummary:
 
 
 def _closure_summary(h: Hypermap) -> QuotientSummary | None:
-    """Flags, type and genus of closure_cover(h), without building it; None
-    where closure_cover raises Degenerate.
-
-    The cover is regular, so a generator that fixes a class is the identity
-    on the classes, and all its k-faces have the same valency: the class
-    count over twice their number. It is orientable exactly when h is: its
-    orientation coloring lifts to h; and when h has one, the flag-0
-    stabilizer is made of even words, so its normal closure is too, and the
-    coloring is constant on every class and descends to the cover.
+    """Flags, type and genus of closure_cover(h); None, found without a
+    raise, where it raises Degenerate. The cover is orientable exactly when
+    h is: its orientation coloring lifts to h; and when h has one, the
+    flag-0 stabilizer is made of even words, so its normal closure is too,
+    and the coloring is constant on every class and descends to the cover.
     """
-    q = _closure_action(h, _stab_and_closure(h)[0])
-    count = q.shape[1]
-    points = np.arange(count, dtype=DTYPE)
-    if (q == points).all(axis=1).any():
+    if (_stab_and_closure(h)[0][h.generator_matrix()[:, 0]] == 0).any():
         return None
-    faces = _pair_orbit_labels(q[[1, 0, 0]], q[[2, 2, 1]])
-    face_counts = np.count_nonzero(faces == points, axis=1).tolist()
-    chi = sum(face_counts) - count // 2
+    cover = closure_cover(h)
     orientable = _parity_coloring(h, (1, 1, 1)) is not None
-    return QuotientSummary(
-        flags=count,
-        type=HypermapType(*(count // (2 * f) for f in face_counts)),
-        genus=SurfaceClass.from_characteristic(chi, orientable).genus,
-    )
+    genus = SurfaceClass.from_characteristic(euler_characteristic(cover), orientable).genus
+    return QuotientSummary(cover.n_flags, type_of(cover), genus)
 
 
 @dataclass(frozen=True)

@@ -167,14 +167,17 @@ def _stab_matched_flags(h: Hypermap) -> np.ndarray:
     return mask
 
 
-def _automorphism_group(h: Hypermap, targets: np.ndarray) -> FiniteGroup:
-    """The automorphisms sending flag 0 to each of targets, as a group.
-
-    targets must be matched flags, listed with flag 0 first.
-    """
+def _automorphism_matrix(h: Hypermap, targets: np.ndarray) -> np.ndarray:
+    """The automorphisms sending flag 0 to each of targets, which must be
+    matched flags, as the rows of a read-only matrix."""
     blocks = _extensions(_flag_tree(h), h.generator_matrix(), targets.astype(DTYPE))
-    # the psi.T blocks concatenate F-ordered; rows of the C-ordered copy are the generators
-    matrix = _freeze(np.concatenate([psi.T for psi, _ in blocks]))
+    # the psi.T blocks concatenate F-ordered; rows of the C-ordered copy are the automorphisms
+    return _freeze(np.concatenate([psi.T for psi, _ in blocks]))
+
+
+def _automorphism_group(h: Hypermap, targets: np.ndarray) -> FiniteGroup:
+    """_automorphism_matrix(h, targets) as a group; targets list flag 0 first."""
+    matrix = _automorphism_matrix(h, targets)
     return FiniteGroup(h.n_flags, tuple(map(Permutation._wrap, matrix)), matrix)
 
 

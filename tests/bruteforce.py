@@ -6,6 +6,7 @@ images; composition follows the same convention as the package:
 compose(a, b) applies a first, then b.
 """
 
+from collections import Counter
 from itertools import permutations as _all_permutations
 
 
@@ -268,6 +269,27 @@ def triple_vertex_coloring(triple) -> list[int] | None:
             elif colors[y] != want:
                 return None
     return colors
+
+
+def vertex_class_profile(triple) -> tuple[tuple[int, int], ...] | None:
+    """Sorted (valency, count) of the hypervertices of each vertex color
+    class; None without a vertex 2-coloring or when a class mixes valencies."""
+    colors = triple_vertex_coloring(triple)
+    if colors is None:
+        return None
+    per_class = []
+    for c in (0, 1):
+        counts = Counter(len(o) // 2 for o in triple_orbits(triple, (1, 2)) if colors[o[0]] == c)
+        if len(counts) != 1:
+            return None
+        per_class += counts.items()
+    return tuple(sorted(per_class))
+
+
+def single_profile(triple, k: int) -> tuple[int, int] | None:
+    """(valency, count) of the k-faces; None when they mix valencies."""
+    counts = Counter(len(o) // 2 for o in triple_orbits(triple, ((1, 2), (0, 2), (0, 1))[k]))
+    return next(iter(counts.items())) if len(counts) == 1 else None
 
 
 def triple_parity_coloring(triple, eps) -> list[int] | None:

@@ -114,6 +114,12 @@ class TestBuild:
         l, m, n = (h.h[1] * h.h[2], h.h[2] * h.h[0], h.h[0] * h.h[1])
         assert (l.order(), m.order(), n.order()) == (2, 3, 4)
 
+    def test_collapsing_presentation_is_degenerate(self):
+        # c = 1 fixes every coset; the error names that, not a flag of the output
+        code, out, err = run_cli(["build", "from-presentation", "abab,c"])
+        assert code == 3 and out == ""
+        assert err.startswith("Degenerate"), err
+
     def test_output_parses_and_reserializes_identically(self):
         doc = build_text("from-type", "2,3,4")
         code, out, _ = run_cli(["transform", "dual", "id"], stdin_text=doc)

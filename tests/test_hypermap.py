@@ -195,6 +195,16 @@ class TestKeptData:
         h = from_text(to_text(build_named("pin(T)")))
         assert h._tree is not None and hypermap._flag_tree(h) is h._tree
         assert h._valencies == {} and h._colorings == {}
+        # no builder labels faces: each hypermap does so on its first face read
+        made = [h, dual(h, (1, 2, 0)), relabel(h, Permutation(np.roll(np.arange(h.n_flags), 5)))]
+        made += [walsh(h), pin(h), closure_cover(h)]
+        for g in made:
+            assert g._faces is None
+        for g, read in zip(made, itertools.cycle((k_faces, valencies))):
+            read(g, 1)
+            faces = g._faces
+            assert faces is not None and faces.shape == (3, g.n_flags) and not faces.flags.writeable
+            assert len(k_faces(g, 0)) and len(valencies(g, 2)) and g._faces is faces
 
     def test_generator_matrix_is_one_read_only_array(self):
         h = from_text(to_text(build_named("pin(T)")))

@@ -28,6 +28,7 @@ from hypermaps import (
     generate_group,
     is_regular,
     is_theta_regular,
+    k_faces,
     normal_closure,
     perm,
     quotient_action,
@@ -312,6 +313,36 @@ class TestMerge:
             pairs = np.array([[0, 0], [1, h.n_flags - 1]], dtype=DTYPE)
             expected = bf.merge_fixpoint(rows.tolist(), list(zip(*pairs.tolist())))
             assert _merge(rows, pairs).tolist() == list(expected)
+
+
+def assert_cover_equals_checked_construction(h):
+    try:
+        cc = closure_cover(h)
+    except Degenerate:
+        # some generator fixes every class, not only flag 0's
+        q = _closure_action(h, _stab_and_closure(h)[0])
+        assert (q == np.arange(q.shape[1])).all(axis=1).any()
+        return
+    checked = Hypermap(cc.n_flags, *cc.generator_matrix())
+    assert cc == checked and cc._tree is None
+    for k in range(3):
+        assert k_faces(cc, k) == k_faces(checked, k)
+
+
+class TestTrustedClosureCover:
+    """closure_cover builds its result without the constructor's checks; the
+    checked constructor must accept it and agree, faces included. Where it
+    raises Degenerate, a generator acts trivially on all the classes."""
+
+    def test_catalog_and_its_doubles(self, catalog, wal_of, pin_of):
+        for name, h in catalog:
+            for g in (h, wal_of[name], pin_of[name]):
+                assert_cover_equals_checked_construction(g)
+
+    @settings(max_examples=80, deadline=None)
+    @given(h=random_hypermaps(), double=st.sampled_from((None, walsh, pin)))
+    def test_random_hypermaps(self, h, double):
+        assert_cover_equals_checked_construction(h if double is None else double(h))
 
 
 def assert_summary_matches_built_cover(h):

@@ -3,7 +3,9 @@
 import pytest
 
 from hypermaps import ParseError
-from hypermaps.catalog import CATALOG_NAMES, build_named, full_catalog
+from hypermaps.catalog import CATALOG_NAMES, build_named, full_catalog, tables
+
+import bruteforce as bf
 
 
 def by_id(rows):
@@ -87,6 +89,26 @@ class TestTable2:
             if "chi" in row.expected:
                 assert row.expected["chi"] == 2
                 assert row.expected["bipartite_regular"] is True
+
+
+class TestProfilesFromBipartiteType:
+    """The verifiers' profiles, counted from bipartite_type, against the
+    hypervertices of each color class and the hyperedges and hyperfaces
+    counted one by one."""
+
+    def test_table2_and_mk_doubles_to_n12(self):
+        exprs = [
+            spec.expr.format(n=n)
+            for spec in tables._T2_ROWS
+            for n in (range(1, 13) if spec.parameterized else (0,))
+        ]
+        exprs += [f"{double}(M{k})" for k in range(1, 13) for double in ("wal", "pin")]
+        for expr in exprs:
+            h = build_named(expr)
+            triple = bf.as_triple(h)
+            reference = (bf.vertex_class_profile(triple), *(bf.single_profile(triple, k) for k in (1, 2)))
+            assert None not in reference, expr
+            assert tables._profiles(h) == reference, expr
 
 
 class TestTable3:
