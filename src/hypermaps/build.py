@@ -228,7 +228,8 @@ def _from_presentation(presentation: Presentation) -> Hypermap:
     rows = table.table.T
     fixed = (rows == np.arange(table.n_cosets)).any(axis=1)
     if fixed.any():
-        raise Degenerate(f"generator {fixed.argmax()} has a fixed point on {table.n_cosets} cosets")
+        i = fixed.argmax()
+        raise Degenerate(f"generator {'abc'[i]} (h{i}) has a fixed point on {table.n_cosets} cosets")
     return Hypermap(table.n_cosets, *rows)
 
 

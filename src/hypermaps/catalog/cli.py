@@ -256,10 +256,11 @@ def _rows_json(rows: tuple[VerificationRow, ...]) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
-def _cmd_verify(args, runner, bound_value: int) -> int:
-    if bound_value < 1:
+def _cmd_verify(args, runner, dest: str) -> int:
+    bound = getattr(args, dest)
+    if bound < 1:
         raise _UsageError("bound must be at least 1")
-    rows = runner(bound_value)
+    rows = runner(bound)
     _emit(_rows_json(rows) if args.json else _rows_text(rows), args.output)
     return 0 if all(r.matches for r in rows) else 2
 
@@ -320,20 +321,15 @@ def _build_parser() -> _Parser:
     common(p)
     p.set_defaults(func=_cmd_analyze)
 
-    p = sub.add_parser("verify-table2", help="check the bipartite-uniform families")
-    p.add_argument("--n-max", type=int, default=6)
-    common(p)
-    p.set_defaults(func=lambda a: _cmd_verify(a, verify_table2, a.n_max))
-
-    p = sub.add_parser("verify-table3", help="check quotients and irregularity data")
-    p.add_argument("--n-max", type=int, default=5)
-    common(p)
-    p.set_defaults(func=lambda a: _cmd_verify(a, verify_table3, a.n_max))
-
-    p = sub.add_parser("verify-mk", help="check the M_k irregularity theorem")
-    p.add_argument("--k-max", type=int, default=8)
-    common(p)
-    p.set_defaults(func=lambda a: _cmd_verify(a, verify_theorem_mk, a.k_max))
+    for verb, help_text, option, default, runner in (
+        ("verify-table2", "check the bipartite-uniform families", "--n-max", 6, verify_table2),
+        ("verify-table3", "check quotients and irregularity data", "--n-max", 5, verify_table3),
+        ("verify-mk", "check the M_k irregularity theorem", "--k-max", 8, verify_theorem_mk),
+    ):
+        p = sub.add_parser(verb, help=help_text)
+        bound = p.add_argument(option, type=int, default=default)
+        common(p)
+        p.set_defaults(func=functools.partial(_cmd_verify, runner=runner, dest=bound.dest))
 
     p = sub.add_parser("oracle", help="exhaustive small-size search")
     p.add_argument("--max-flags", type=int, choices=[4, 8], default=8)

@@ -95,13 +95,10 @@ def _local_orbits(rows: list[np.ndarray], n: int) -> list[list[int]]:
     return out
 
 
-def _local_valency_sets(hs: np.ndarray) -> list[set[int]]:
+def _local_face_orbits(hs: np.ndarray) -> list[list[list[int]]]:
+    """The k-faces for k = 0, 1, 2: orbits of the two rows other than k."""
     n = hs.shape[1]
-    pairs = [(1, 2), (0, 2), (0, 1)]
-    return [
-        {len(orbit) // 2 for orbit in _local_orbits([hs[i], hs[j]], n)}
-        for i, j in pairs
-    ]
+    return [_local_orbits([hs[i], hs[j]], n) for i, j in ((1, 2), (0, 2), (0, 1))]
 
 
 def _local_coloring(hs: np.ndarray) -> list[int] | None:
@@ -333,7 +330,8 @@ def brute_oracle(max_flags: int = 8) -> OracleReport:
 
         for key, hs in classes.items():
             label = f"n={n} h={[list(map(int, r)) for r in hs]}"
-            vsets = _local_valency_sets(hs)
+            faces = _local_face_orbits(hs)
+            vsets = [{len(orbit) // 2 for orbit in orbits} for orbits in faces]
             uniform = all(len(s) == 1 for s in vsets)
             extends = [_local_has_automorphism(hs, t) for t in range(n)]
             regular = all(extends)
@@ -349,9 +347,8 @@ def brute_oracle(max_flags: int = 8) -> OracleReport:
                 continue
             bipartite_classes += 1
             class0 = [x for x in range(n) if colors[x] == 0]
-            vertex_orbits = _local_orbits([hs[1], hs[2]], n)
             per_class: list[set[int]] = [set(), set()]
-            for orbit in vertex_orbits:
+            for orbit in faces[0]:
                 per_class[colors[orbit[0]]].add(len(orbit) // 2)
             b_uniform = (
                 all(len(s) == 1 for s in per_class)

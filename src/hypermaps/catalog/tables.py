@@ -1,21 +1,26 @@
-"""Verifiers for the classification tables of the doubled families.
+"""Verifiers for the classification tables of the regular and doubled families.
 
-Three checks, each comparing computed invariants of a constructed hypermap
-against expected values recorded here:
+Each compares computed invariants of constructed hypermaps against expected
+values recorded here:
 
-* verify_table2: the 23 bipartite-uniform families produced by applying
-  wal/pin to the regular spherical hypermaps, with vertex/edge/face
+* verify_table1: the regular spherical hypermaps, two families and three
+  sporadic ones: type, face and flag counts, regularity.
+* verify_table2 and verify_table3 read one family list, _FAMILIES, of the 23
+  bipartite-uniform families produced by applying wal/pin to those maps.
+  Each entry states its expression once and holds its Table 2 columns next
+  to its Table 3 columns. verify_table2 checks the vertex/edge/face
   valency-count profiles, flag counts, bipartite-regularity, and the one
-  overlap between the wal and pin lists.
-* verify_table3: for the same 23 families, the closure cover (largest
-  regular quotient, matched up to isomorphism against a named hypermap),
-  the covering core (smallest regular cover: type, flags, genus), the
-  irregularity index, and the flag stabilizer group Upsilon.
+  overlap between the wal and pin lists; verify_table3 the closure cover
+  (largest regular quotient, matched up to isomorphism against a named
+  hypermap), the covering core (smallest regular cover: type, flags,
+  genus), the irregularity index, and the flag stabilizer group Upsilon.
 * verify_theorem_mk: the M_k family, whose doublings realize every
   positive irregularity index pattern in terms of the genus.
 
-Expected values are data, never computed by the code under test; every
-comparison is exact.
+The three table verifiers share one row loop, _verify, which runs the
+parameter range, builds each hypermap and numbers its row; each verifier
+states only its expected and computed values. Expected values are data,
+never computed by the code under test; every comparison is exact.
 """
 
 from __future__ import annotations
@@ -98,34 +103,36 @@ def _profiles(h: Hypermap) -> tuple:
     return vertex, (t.m, n // (2 * t.m)), (t.n, n // (2 * t.n))
 
 
+# ---------------------------------------------------------------- row loop
+
+
+def _verify(table: str, letter: str, bound: int, families, check) -> tuple[VerificationRow, ...]:
+    """The rows of one table. families are (rid, expr, columns) triples; a
+    family whose expr holds {letter} runs for each parameter value 1..bound,
+    the others once. columns is a tuple, or a function of the parameter
+    giving one; check(h, *columns) gives the expected and computed dicts of
+    the hypermap h that expr names."""
+    rows = []
+    for rid, expr, columns in families:
+        parameterized = "{" in expr
+        for p in range(1, bound + 1) if parameterized else (0,):
+            label = expr.format_map({letter: p})
+            h = build_named(label)
+            expected, computed = check(h, *(columns(p) if callable(columns) else columns))
+            row_id = f"{rid}[{letter}={p}]" if parameterized else str(rid)
+            rows.append(VerificationRow(table, row_id, label, expected, computed))
+    return tuple(rows)
+
+
 # ---------------------------------------------------------------- table 1
 
-_T1_ROWS: tuple[tuple[str, Callable[[int], str], Callable[[int], dict]], ...] = (
-    (
-        "(1,k,k)",
-        lambda k: f"dual02(D{k})",
-        lambda k: {"type": (1, k, k), "V": k, "E": 1, "F": 1, "flags": 2 * k},
-    ),
-    (
-        "(2,2,k)",
-        lambda k: f"P{k}",
-        lambda k: {"type": (2, 2, k), "V": k, "E": k, "F": 2, "flags": 4 * k},
-    ),
-    (
-        "(2,3,3)",
-        lambda k: "dual01(T)",
-        lambda k: {"type": (2, 3, 3), "V": 6, "E": 4, "F": 4, "flags": 24},
-    ),
-    (
-        "(2,3,4)",
-        lambda k: "dual01(C)",
-        lambda k: {"type": (2, 3, 4), "V": 12, "E": 8, "F": 6, "flags": 48},
-    ),
-    (
-        "(2,3,5)",
-        lambda k: "dual01(D)",
-        lambda k: {"type": (2, 3, 5), "V": 30, "E": 20, "F": 12, "flags": 120},
-    ),
+# rid, expression ({k} for the parameter), and type, V, E, F, flags
+_T1_ROWS = (
+    (1, "dual02(D{k})", lambda k: ((1, k, k), k, 1, 1, 2 * k)),
+    (2, "P{k}", lambda k: ((2, 2, k), k, k, 2, 4 * k)),
+    (3, "dual01(T)", ((2, 3, 3), 6, 4, 4, 24)),
+    (4, "dual01(C)", ((2, 3, 4), 12, 8, 6, 48)),
+    (5, "dual01(D)", ((2, 3, 5), 30, 20, 12, 120)),
 )
 
 
@@ -136,79 +143,113 @@ def verify_table1(k_max: int = 6) -> tuple[VerificationRow, ...]:
     type, face counts, and flag count, and a monodromy group acting
     regularly.
     """
-    rows = []
-    for rid, (family, expr_of, data_of) in enumerate(_T1_ROWS, start=1):
-        parameterized = family in ("(1,k,k)", "(2,2,k)")
-        ks = range(1, k_max + 1) if parameterized else (0,)
-        for k in ks:
-            expr = expr_of(k)
-            expected = dict(data_of(k))
-            expected.update({"uniform": True, "regular": True, "chi": 2, "mon_order": expected["flags"]})
-            h = build_named(expr)
-            computed = {
-                "type": type_of(h).as_tuple(),
-                "V": len(valencies(h, 0)),
-                "E": len(valencies(h, 1)),
-                "F": len(valencies(h, 2)),
-                "flags": h.n_flags,
-                "uniform": is_uniform(h),
-                "regular": is_regular(h),
-                "chi": euler_characteristic(h),
-                "mon_order": schreier_sims(h.generator_matrix(), h.n_flags)[0],
-            }
-            row_id = f"{rid}[k={k}]" if parameterized else str(rid)
-            rows.append(VerificationRow("table1", row_id, expr, expected, computed))
-    return tuple(rows)
+
+    def check(h, htype, v, e, f, flags):
+        expected = {
+            "type": htype,
+            "V": v,
+            "E": e,
+            "F": f,
+            "flags": flags,
+            "uniform": True,
+            "regular": True,
+            "chi": 2,
+            "mon_order": flags,
+        }
+        computed = {
+            "type": type_of(h).as_tuple(),
+            "V": len(valencies(h, 0)),
+            "E": len(valencies(h, 1)),
+            "F": len(valencies(h, 2)),
+            "flags": h.n_flags,
+            "uniform": is_uniform(h),
+            "regular": is_regular(h),
+            "chi": euler_characteristic(h),
+            "mon_order": schreier_sims(h.generator_matrix(), h.n_flags)[0],
+        }
+        return expected, computed
+
+    return _verify("table1", "k", k_max, _T1_ROWS, check)
 
 
-# ---------------------------------------------------------------- table 2
-
-_VP = Callable[[int], tuple[tuple[int, int], tuple[int, int]]]
-_EP = Callable[[int], tuple[int, int]]
+# ---------------------------------------------------------- tables 2 and 3
 
 
 @dataclass(frozen=True)
-class _T2Row:
-    rid: int
-    expr: str  # hypermap expression, {n} for the parameter
-    vp: _VP
-    ep: _EP
-    fp: _EP
-    flags: Callable[[int], int]
+class _Family:
+    """A doubled family of Tables 2 and 3. expr names its hypermap, with {n}
+    for the parameter; table2 and table3 hold its columns in each table, as
+    a tuple or as a function of n giving one."""
 
-    @property
-    def parameterized(self) -> bool:
-        return "{n}" in self.expr
+    rid: int
+    expr: str
+    # vertex, edge and face profiles; flags
+    table2: tuple | Callable[[int], tuple]
+    # closure cover (an expression naming it, type, flags); covering core
+    # (type, flags, genus); iota; Upsilon
+    table3: tuple | Callable[[int], tuple]
 
 
 def _pair(a: tuple[int, int], b: tuple[int, int]) -> tuple[tuple[int, int], tuple[int, int]]:
     return tuple(sorted((a, b)))
 
 
-_T2_ROWS: tuple[_T2Row, ...] = (
-    _T2Row(1, "pin(dual02(D{n}))", lambda n: _pair((1, n), (1, n)), lambda n: (2 * n, 1), lambda n: (2 * n, 1), lambda n: 4 * n),
-    _T2Row(2, "pin(P{n})", lambda n: _pair((1, 2 * n), (2, n)), lambda n: (4, n), lambda n: (2 * n, 2), lambda n: 8 * n),
-    _T2Row(3, "pin(dual01(T))", lambda n: ((1, 12), (2, 6)), lambda n: (6, 4), lambda n: (6, 4), lambda n: 48),
-    _T2Row(4, "pin(dual01(C))", lambda n: ((1, 24), (2, 12)), lambda n: (6, 8), lambda n: (8, 6), lambda n: 96),
-    _T2Row(5, "pin(dual01(D))", lambda n: ((1, 60), (2, 30)), lambda n: (6, 20), lambda n: (10, 12), lambda n: 240),
-    _T2Row(6, "pin(T)", lambda n: ((1, 12), (3, 4)), lambda n: (4, 6), lambda n: (6, 4), lambda n: 48),
-    _T2Row(7, "pin(C)", lambda n: ((1, 24), (3, 8)), lambda n: (4, 12), lambda n: (8, 6), lambda n: 96),
-    _T2Row(8, "pin(D)", lambda n: ((1, 60), (3, 20)), lambda n: (4, 30), lambda n: (10, 12), lambda n: 240),
-    _T2Row(9, "pin(dual02(C))", lambda n: ((1, 24), (4, 6)), lambda n: (4, 12), lambda n: (6, 8), lambda n: 96),
-    _T2Row(10, "pin(dual02(D))", lambda n: ((1, 60), (5, 12)), lambda n: (4, 30), lambda n: (6, 20), lambda n: 240),
-    _T2Row(11, "pin(dual12(D{n}))", lambda n: _pair((1, n), (n, 1)), lambda n: (2, n), lambda n: (2 * n, 1), lambda n: 4 * n),
-    _T2Row(12, "pin(dual02(P{n}))", lambda n: _pair((1, 2 * n), (n, 2)), lambda n: (4, n), lambda n: (4, n), lambda n: 8 * n),
-    _T2Row(13, "wal(P{n})", lambda n: _pair((2, n), (2, n)), lambda n: (2, 2 * n), lambda n: (2 * n, 2), lambda n: 8 * n),
-    _T2Row(14, "wal(T)", lambda n: ((2, 6), (3, 4)), lambda n: (2, 12), lambda n: (6, 4), lambda n: 48),
-    _T2Row(15, "wal(C)", lambda n: ((2, 12), (3, 8)), lambda n: (2, 24), lambda n: (8, 6), lambda n: 96),
-    _T2Row(16, "wal(D)", lambda n: ((2, 30), (3, 20)), lambda n: (2, 60), lambda n: (10, 12), lambda n: 240),
-    _T2Row(17, "wal(dual02(C))", lambda n: ((2, 12), (4, 6)), lambda n: (2, 24), lambda n: (6, 8), lambda n: 96),
-    _T2Row(18, "wal(dual02(D))", lambda n: ((2, 30), (5, 12)), lambda n: (2, 60), lambda n: (6, 20), lambda n: 240),
-    _T2Row(19, "wal(dual02(P{n}))", lambda n: _pair((2, n), (n, 2)), lambda n: (2, 2 * n), lambda n: (4, n), lambda n: 8 * n),
-    _T2Row(20, "wal(dual12(T))", lambda n: ((3, 4), (3, 4)), lambda n: (2, 12), lambda n: (4, 6), lambda n: 48),
-    _T2Row(21, "wal(dual12(C))", lambda n: ((3, 8), (4, 6)), lambda n: (2, 24), lambda n: (4, 12), lambda n: 96),
-    _T2Row(22, "wal(dual12(D))", lambda n: ((3, 20), (5, 12)), lambda n: (2, 60), lambda n: (4, 30), lambda n: 240),
-    _T2Row(23, "wal(D{n})", lambda n: _pair((n, 1), (n, 1)), lambda n: (2, n), lambda n: (2, n), lambda n: 4 * n),
+def _even_odd(even, odd):
+    return lambda n: even(n) if n % 2 == 0 else odd(n)
+
+
+_CC_D2 = ("dual02(D2)", (1, 2, 2), 4)
+_CC_D4 = ("dual02(D4)", (1, 4, 4), 8)
+
+_FAMILIES: tuple[_Family, ...] = (
+    _Family(1, "pin(dual02(D{n}))", lambda n: (_pair((1, n), (1, n)), (2 * n, 1), (2 * n, 1), 4 * n),
+            lambda n: (f"dual02(D{2 * n})", (1, 2 * n, 2 * n), 4 * n, (1, 2 * n, 2 * n), 4 * n, 0, 1, "Trivial")),
+    _Family(2, "pin(P{n})", lambda n: (_pair((1, 2 * n), (2, n)), (4, n), (2 * n, 2), 8 * n),
+            _even_odd(lambda n: (*_CC_D4, (2, 4, 2 * n), 8 * n * n, ((n - 1) ** 2 + 1) // 2, n, _dihedral(n // 2)),
+                      lambda n: (*_CC_D2, (2, 4, 2 * n), 16 * n * n, (n - 1) ** 2, 2 * n, _dihedral(n)))),
+    _Family(3, "pin(dual01(T))", (((1, 12), (2, 6)), (6, 4), (6, 4), 48),
+            ("dual02(D6)", (1, 6, 6), 12, (2, 6, 6), 192, 9, 4, "KleinFour")),
+    _Family(4, "pin(dual01(C))", (((1, 24), (2, 12)), (6, 8), (8, 6), 96),
+            (*_CC_D2, (2, 6, 8), 2304, 121, 24, "Sym4")),
+    _Family(5, "pin(dual01(D))", (((1, 60), (2, 30)), (6, 20), (10, 12), 240),
+            (*_CC_D2, (2, 6, 10), 14400, 841, 60, "Alt5")),
+    _Family(6, "pin(T)", (((1, 12), (3, 4)), (4, 6), (6, 4), 48),
+            (*_CC_D2, (3, 4, 6), 576, 37, 12, "Alt4")),
+    _Family(7, "pin(C)", (((1, 24), (3, 8)), (4, 12), (8, 6), 96),
+            (*_CC_D4, (3, 4, 8), 1152, 85, 12, "Alt4")),
+    _Family(8, "pin(D)", (((1, 60), (3, 20)), (4, 30), (10, 12), 240),
+            (*_CC_D2, (3, 4, 10), 14400, 1141, 60, "Alt5")),
+    _Family(9, "pin(dual02(C))", (((1, 24), (4, 6)), (4, 12), (6, 8), 96),
+            (*_CC_D2, (4, 4, 6), 2304, 193, 24, "Sym4")),
+    _Family(10, "pin(dual02(D))", (((1, 60), (5, 12)), (4, 30), (6, 20), 240),
+            (*_CC_D2, (5, 4, 6), 14400, 1381, 60, "Alt5")),
+    _Family(11, "pin(dual12(D{n}))", lambda n: (_pair((1, n), (n, 1)), (2, n), (2 * n, 1), 4 * n),
+            lambda n: (*_CC_D2, (n, 2, 2 * n), 4 * n * n, (n - 1) * (n - 2) // 2, n, _cyclic(n))),
+    _Family(12, "pin(dual02(P{n}))", lambda n: (_pair((1, 2 * n), (n, 2)), (4, n), (4, n), 8 * n),
+            lambda n: (*_CC_D4, (n, 4, 4), 8 * n * n, (n - 1) ** 2, n, _cyclic(n))),
+    _Family(13, "wal(P{n})", lambda n: (_pair((2, n), (2, n)), (2, 2 * n), (2 * n, 2), 8 * n),
+            lambda n: (f"P{2 * n}", (2, 2, 2 * n), 8 * n, (2, 2, 2 * n), 8 * n, 0, 1, "Trivial")),
+    _Family(14, "wal(T)", (((2, 6), (3, 4)), (2, 12), (6, 4), 48),
+            (*_CC_D2, (6, 2, 6), 576, 25, 12, "Alt4")),
+    _Family(15, "wal(C)", (((2, 12), (3, 8)), (2, 24), (8, 6), 96),
+            (*_CC_D2, (6, 2, 8), 2304, 121, 24, "Sym4")),
+    _Family(16, "wal(D)", (((2, 30), (3, 20)), (2, 60), (10, 12), 240),
+            (*_CC_D2, (6, 2, 10), 14400, 841, 60, "Alt5")),
+    _Family(17, "wal(dual02(C))", (((2, 12), (4, 6)), (2, 24), (6, 8), 96),
+            ("P6", (2, 2, 6), 24, (4, 2, 6), 384, 9, 4, "KleinFour")),
+    _Family(18, "wal(dual02(D))", (((2, 30), (5, 12)), (2, 60), (6, 20), 240),
+            (*_CC_D2, (10, 2, 6), 14400, 841, 60, "Alt5")),
+    _Family(19, "wal(dual02(P{n}))", lambda n: (_pair((2, n), (n, 2)), (2, 2 * n), (4, n), 8 * n),
+            _even_odd(lambda n: ("P4", (2, 2, 4), 16, (n, 2, 4), 4 * n * n, (n - 2) ** 2 // 4, n // 2, _cyclic(n // 2)),
+                      lambda n: (*_CC_D2, (2 * n, 2, 4), 16 * n * n, (n - 1) ** 2, 2 * n, _dihedral(n)))),
+    _Family(20, "wal(dual12(T))", (((3, 4), (3, 4)), (2, 12), (4, 6), 48),
+            ("C", (3, 2, 4), 48, (3, 2, 4), 48, 0, 1, "Trivial")),
+    _Family(21, "wal(dual12(C))", (((3, 8), (4, 6)), (2, 24), (4, 12), 96),
+            (*_CC_D2, (12, 2, 4), 2304, 97, 24, "Sym4")),
+    _Family(22, "wal(dual12(D))", (((3, 20), (5, 12)), (2, 60), (4, 30), 240),
+            (*_CC_D2, (15, 2, 4), 14400, 661, 60, "Alt5")),
+    _Family(23, "wal(D{n})", lambda n: (_pair((n, 1), (n, 1)), (2, n), (2, n), 4 * n),
+            lambda n: (f"dual02(P{n})", (n, 2, 2), 4 * n, (n, 2, 2), 4 * n, 0, 1, "Trivial")),
 )
 
 
@@ -219,168 +260,38 @@ def verify_table2(n_max: int = 6) -> tuple[VerificationRow, ...]:
     for the single overlap between the two construction lists:
     wal(dual02(Dn)) is isomorphic to pin(dual12(Dn)).
     """
-    rows = []
-    for spec in _T2_ROWS:
-        ns = range(1, n_max + 1) if spec.parameterized else (0,)
-        for n in ns:
-            expr = spec.expr.format(n=n)
-            h = build_named(expr)
-            expected = {
-                "vertex_profile": spec.vp(n),
-                "edge_profile": spec.ep(n),
-                "face_profile": spec.fp(n),
-                "flags": spec.flags(n),
-                "bipartite_regular": True,
-                "chi": 2,
-            }
-            vertex, edge, face = _profiles(h)
-            computed = {
-                "vertex_profile": vertex,
-                "edge_profile": edge,
-                "face_profile": face,
-                "flags": h.n_flags,
-                "bipartite_regular": is_theta_regular(h, BIPARTITE),
-                "chi": euler_characteristic(h),
-            }
-            row_id = f"{spec.rid}[n={n}]" if spec.parameterized else str(spec.rid)
-            rows.append(VerificationRow("table2", row_id, expr, expected, computed))
-    for n in range(1, n_max + 1):
-        a = build_named(f"wal(dual02(D{n}))")
-        b = build_named(f"pin(dual12(D{n}))")
-        rows.append(
-            VerificationRow(
-                "table2",
-                f"overlap[n={n}]",
-                f"wal(dual02(D{n})) ~ pin(dual12(D{n}))",
-                {"isomorphic": True},
-                {"isomorphic": are_isomorphic(a, b)},
-            )
+
+    def check(h, vertex_profile, edge_profile, face_profile, flags):
+        expected = {
+            "vertex_profile": vertex_profile,
+            "edge_profile": edge_profile,
+            "face_profile": face_profile,
+            "flags": flags,
+            "bipartite_regular": True,
+            "chi": 2,
+        }
+        vertex, edge, face = _profiles(h)
+        computed = {
+            "vertex_profile": vertex,
+            "edge_profile": edge,
+            "face_profile": face,
+            "flags": h.n_flags,
+            "bipartite_regular": is_theta_regular(h, BIPARTITE),
+            "chi": euler_characteristic(h),
+        }
+        return expected, computed
+
+    rows = _verify("table2", "n", n_max, ((f.rid, f.expr, f.table2) for f in _FAMILIES), check)
+    return rows + tuple(
+        VerificationRow(
+            "table2",
+            f"overlap[n={n}]",
+            f"wal(dual02(D{n})) ~ pin(dual12(D{n}))",
+            {"isomorphic": True},
+            {"isomorphic": are_isomorphic(build_named(f"wal(dual02(D{n}))"), build_named(f"pin(dual12(D{n}))"))},
         )
-    return tuple(rows)
-
-
-# ---------------------------------------------------------------- table 3
-
-
-@dataclass(frozen=True)
-class _T3Row:
-    rid: int
-    expr: str
-    cc_expr: Callable[[int], str]
-    cc_type: Callable[[int], tuple[int, int, int]]
-    cc_flags: Callable[[int], int]
-    core_type: Callable[[int], tuple[int, int, int]]
-    core_flags: Callable[[int], int]
-    core_genus: Callable[[int], int]
-    iota: Callable[[int], int]
-    upsilon: Callable[[int], str]
-
-    @property
-    def parameterized(self) -> bool:
-        return "{n}" in self.expr
-
-
-def _even_odd(even, odd):
-    return lambda n: even(n) if n % 2 == 0 else odd(n)
-
-
-def _const(value):
-    return lambda n: value
-
-
-_CC_D2 = (_const("dual02(D2)"), _const((1, 2, 2)), _const(4))
-_CC_D4 = (_const("dual02(D4)"), _const((1, 4, 4)), _const(8))
-
-_T3_ROWS: tuple[_T3Row, ...] = (
-    _T3Row(1, "pin(dual02(D{n}))",
-           lambda n: f"dual02(D{2 * n})", lambda n: (1, 2 * n, 2 * n), lambda n: 4 * n,
-           lambda n: (1, 2 * n, 2 * n), lambda n: 4 * n, _const(0),
-           _const(1), _const("Trivial")),
-    _T3Row(2, "pin(P{n})",
-           _even_odd(_const("dual02(D4)"), _const("dual02(D2)")),
-           _even_odd(_const((1, 4, 4)), _const((1, 2, 2))),
-           _even_odd(_const(8), _const(4)),
-           lambda n: (2, 4, 2 * n),
-           _even_odd(lambda n: 8 * n * n, lambda n: 16 * n * n),
-           _even_odd(lambda n: ((n - 1) ** 2 + 1) // 2, lambda n: (n - 1) ** 2),
-           _even_odd(lambda n: n, lambda n: 2 * n),
-           _even_odd(lambda n: _dihedral(n // 2), lambda n: _dihedral(n))),
-    _T3Row(3, "pin(dual01(T))",
-           _const("dual02(D6)"), _const((1, 6, 6)), _const(12),
-           _const((2, 6, 6)), _const(192), _const(9),
-           _const(4), _const("KleinFour")),
-    _T3Row(4, "pin(dual01(C))", *_CC_D2,
-           _const((2, 6, 8)), _const(2304), _const(121),
-           _const(24), _const("Sym4")),
-    _T3Row(5, "pin(dual01(D))", *_CC_D2,
-           _const((2, 6, 10)), _const(14400), _const(841),
-           _const(60), _const("Alt5")),
-    _T3Row(6, "pin(T)", *_CC_D2,
-           _const((3, 4, 6)), _const(576), _const(37),
-           _const(12), _const("Alt4")),
-    _T3Row(7, "pin(C)", *_CC_D4,
-           _const((3, 4, 8)), _const(1152), _const(85),
-           _const(12), _const("Alt4")),
-    _T3Row(8, "pin(D)", *_CC_D2,
-           _const((3, 4, 10)), _const(14400), _const(1141),
-           _const(60), _const("Alt5")),
-    _T3Row(9, "pin(dual02(C))", *_CC_D2,
-           _const((4, 4, 6)), _const(2304), _const(193),
-           _const(24), _const("Sym4")),
-    _T3Row(10, "pin(dual02(D))", *_CC_D2,
-           _const((5, 4, 6)), _const(14400), _const(1381),
-           _const(60), _const("Alt5")),
-    _T3Row(11, "pin(dual12(D{n}))", *_CC_D2,
-           lambda n: (n, 2, 2 * n), lambda n: 4 * n * n,
-           lambda n: (n - 1) * (n - 2) // 2,
-           lambda n: n, lambda n: _cyclic(n)),
-    _T3Row(12, "pin(dual02(P{n}))", *_CC_D4,
-           lambda n: (n, 4, 4), lambda n: 8 * n * n, lambda n: (n - 1) ** 2,
-           lambda n: n, lambda n: _cyclic(n)),
-    _T3Row(13, "wal(P{n})",
-           lambda n: f"P{2 * n}", lambda n: (2, 2, 2 * n), lambda n: 8 * n,
-           lambda n: (2, 2, 2 * n), lambda n: 8 * n, _const(0),
-           _const(1), _const("Trivial")),
-    _T3Row(14, "wal(T)", *_CC_D2,
-           _const((6, 2, 6)), _const(576), _const(25),
-           _const(12), _const("Alt4")),
-    _T3Row(15, "wal(C)", *_CC_D2,
-           _const((6, 2, 8)), _const(2304), _const(121),
-           _const(24), _const("Sym4")),
-    _T3Row(16, "wal(D)", *_CC_D2,
-           _const((6, 2, 10)), _const(14400), _const(841),
-           _const(60), _const("Alt5")),
-    _T3Row(17, "wal(dual02(C))",
-           _const("P6"), _const((2, 2, 6)), _const(24),
-           _const((4, 2, 6)), _const(384), _const(9),
-           _const(4), _const("KleinFour")),
-    _T3Row(18, "wal(dual02(D))", *_CC_D2,
-           _const((10, 2, 6)), _const(14400), _const(841),
-           _const(60), _const("Alt5")),
-    _T3Row(19, "wal(dual02(P{n}))",
-           _even_odd(_const("P4"), _const("dual02(D2)")),
-           _even_odd(_const((2, 2, 4)), _const((1, 2, 2))),
-           _even_odd(_const(16), _const(4)),
-           _even_odd(lambda n: (n, 2, 4), lambda n: (2 * n, 2, 4)),
-           _even_odd(lambda n: 4 * n * n, lambda n: 16 * n * n),
-           _even_odd(lambda n: (n - 2) ** 2 // 4, lambda n: (n - 1) ** 2),
-           _even_odd(lambda n: n // 2, lambda n: 2 * n),
-           _even_odd(lambda n: _cyclic(n // 2), lambda n: _dihedral(n))),
-    _T3Row(20, "wal(dual12(T))",
-           _const("C"), _const((3, 2, 4)), _const(48),
-           _const((3, 2, 4)), _const(48), _const(0),
-           _const(1), _const("Trivial")),
-    _T3Row(21, "wal(dual12(C))", *_CC_D2,
-           _const((12, 2, 4)), _const(2304), _const(97),
-           _const(24), _const("Sym4")),
-    _T3Row(22, "wal(dual12(D))", *_CC_D2,
-           _const((15, 2, 4)), _const(14400), _const(661),
-           _const(60), _const("Alt5")),
-    _T3Row(23, "wal(D{n})",
-           lambda n: f"dual02(P{n})", lambda n: (n, 2, 2), lambda n: 4 * n,
-           lambda n: (n, 2, 2), lambda n: 4 * n, _const(0),
-           _const(1), _const("Trivial")),
-)
+        for n in range(1, n_max + 1)
+    )
 
 
 def verify_table3(n_max: int = 5) -> tuple[VerificationRow, ...]:
@@ -391,40 +302,36 @@ def verify_table3(n_max: int = 5) -> tuple[VerificationRow, ...]:
     core's type, flag count, and genus; the irregularity index; and the
     recognized stabilizer group.
     """
-    rows = []
-    for spec in _T3_ROWS:
-        ns = range(1, n_max + 1) if spec.parameterized else (0,)
-        for n in ns:
-            expr = spec.expr.format(n=n)
-            h = build_named(expr)
-            cc = closure_cover(h)
-            core = core_summary(h)
-            rep = irregularity(h)
-            expected = {
-                "cc_type": spec.cc_type(n),
-                "cc_flags": spec.cc_flags(n),
-                "cc_regular": True,
-                "cc_named": True,
-                "core_type": spec.core_type(n),
-                "core_flags": spec.core_flags(n),
-                "core_genus": spec.core_genus(n),
-                "iota": spec.iota(n),
-                "upsilon": spec.upsilon(n),
-            }
-            computed = {
-                "cc_type": type_of(cc).as_tuple(),
-                "cc_flags": cc.n_flags,
-                "cc_regular": is_regular(cc),
-                "cc_named": are_isomorphic(cc, build_named(spec.cc_expr(n))),
-                "core_type": core.type.as_tuple(),
-                "core_flags": core.flags,
-                "core_genus": core.genus,
-                "iota": rep.index,
-                "upsilon": str(rep.group),
-            }
-            row_id = f"{spec.rid}[n={n}]" if spec.parameterized else str(spec.rid)
-            rows.append(VerificationRow("table3", row_id, expr, expected, computed))
-    return tuple(rows)
+
+    def check(h, cc_expr, cc_type, cc_flags, core_type, core_flags, core_genus, iota, upsilon):
+        cc = closure_cover(h)
+        core = core_summary(h)
+        rep = irregularity(h)
+        expected = {
+            "cc_type": cc_type,
+            "cc_flags": cc_flags,
+            "cc_regular": True,
+            "cc_named": True,
+            "core_type": core_type,
+            "core_flags": core_flags,
+            "core_genus": core_genus,
+            "iota": iota,
+            "upsilon": upsilon,
+        }
+        computed = {
+            "cc_type": type_of(cc).as_tuple(),
+            "cc_flags": cc.n_flags,
+            "cc_regular": is_regular(cc),
+            "cc_named": are_isomorphic(cc, build_named(cc_expr)),
+            "core_type": core.type.as_tuple(),
+            "core_flags": core.flags,
+            "core_genus": core.genus,
+            "iota": rep.index,
+            "upsilon": str(rep.group),
+        }
+        return expected, computed
+
+    return _verify("table3", "n", n_max, ((f.rid, f.expr, f.table3) for f in _FAMILIES), check)
 
 
 # ---------------------------------------------------------------- M_k
@@ -447,37 +354,22 @@ def verify_theorem_mk(k_max: int = 8) -> tuple[VerificationRow, ...]:
         surf = surface_class(mk)
         wrep = irregularity(w)
         prep = irregularity(p)
-        if k % 2:
-            g = (k - 1) // 2
-            expected = {
-                "type": (k, 2, 2 * k),
-                "genus": g,
-                "orientable": True,
-                "regular": True,
-                "pin_profile": _pair((1, 2 * k), (k, 2)),
-                "wal_profile": _pair((2, k), (k, 2)),
-                "iota_pin": 2 * g + 1,
-                "iota_wal": 4 * g + 2,
-            }
-        else:
-            g = k // 2
-            expected = {
-                "type": (2 * k, 2, 2 * k),
-                "genus": g,
-                "orientable": True,
-                "regular": True,
-                "pin_profile": _pair((1, 2 * k), (2 * k, 1)),
-                "wal_profile": _pair((2, k), (2 * k, 1)),
-                "iota_pin": 4 * g,
-                "iota_wal": 4 * g,
-            }
-        expected.update(
-            {
-                "ups_wal": _cyclic(2 * k),
-                "ups_pin_order": k if k % 2 else 2 * k,
-                "ups_pin_cyclic": True,
-            }
-        )
+        odd, g = k % 2, k // 2
+        # M_k has two hypervertices of valency k (k odd) or one of 2k
+        vertex = (k, 2) if odd else (2 * k, 1)
+        expected = {
+            "type": (vertex[0], 2, 2 * k),
+            "genus": g,
+            "orientable": True,
+            "regular": True,
+            "pin_profile": _pair((1, 2 * k), vertex),
+            "wal_profile": _pair((2, k), vertex),
+            "iota_pin": 2 * g + 1 if odd else 4 * g,
+            "iota_wal": 4 * g + 2 if odd else 4 * g,
+            "ups_wal": _cyclic(2 * k),
+            "ups_pin_order": k if odd else 2 * k,
+            "ups_pin_cyclic": True,
+        }
         computed = {
             "type": type_of(mk).as_tuple(),
             "genus": surf.genus,

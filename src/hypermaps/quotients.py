@@ -192,6 +192,12 @@ def _closure_action(h: Hypermap, labels: np.ndarray) -> np.ndarray:
     return q
 
 
+def _trivial_generators(h: Hypermap, labels: np.ndarray) -> np.ndarray:
+    """The generators that keep flag 0 in its class of labels, the
+    closure-cover classes: on those classes they act trivially."""
+    return np.flatnonzero(labels[h.generator_matrix()[:, 0]] == 0)
+
+
 def closure_cover(h: Hypermap) -> Hypermap:
     """The largest regular hypermap covered by h.
 
@@ -205,7 +211,7 @@ def closure_cover(h: Hypermap) -> Hypermap:
     fixed point; and it is transitive as h's action is.
     """
     labels = _stab_and_closure(h)[0]
-    trivial = np.flatnonzero(labels[h.generator_matrix()[:, 0]] == 0)
+    trivial = _trivial_generators(h, labels)
     if trivial.size:
         names = ", ".join(f"h{i}" for i in trivial)
         raise Degenerate(f"trivial generators {names} in the closure cover (class count {labels.max() + 1})")
@@ -285,7 +291,7 @@ def _closure_summary(h: Hypermap) -> QuotientSummary | None:
     flag-0 stabilizer is made of even words, so its normal closure is too,
     and the coloring is constant on every class and descends to the cover.
     """
-    if (_stab_and_closure(h)[0][h.generator_matrix()[:, 0]] == 0).any():
+    if _trivial_generators(h, _stab_and_closure(h)[0]).size:
         return None
     cover = closure_cover(h)
     orientable = _parity_coloring(h, (1, 1, 1)) is not None

@@ -622,9 +622,9 @@ class TestUpsilonFromDeckExtension:
 
     def test_table3_to_twelve(self):
         exprs = {
-            spec.expr.format(n=n)
-            for spec in tables._T3_ROWS
-            for n in (range(1, 13) if spec.parameterized else (0,))
+            family.expr.format(n=n)
+            for family in tables._FAMILIES
+            for n in (range(1, 13) if "{n}" in family.expr else (0,))
         }
         assert len(exprs) == 100
         for expr in sorted(exprs):

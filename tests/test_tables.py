@@ -98,9 +98,9 @@ class TestProfilesFromBipartiteType:
 
     def test_table2_and_mk_doubles_to_n12(self):
         exprs = [
-            spec.expr.format(n=n)
-            for spec in tables._T2_ROWS
-            for n in (range(1, 13) if spec.parameterized else (0,))
+            family.expr.format(n=n)
+            for family in tables._FAMILIES
+            for n in (range(1, 13) if "{n}" in family.expr else (0,))
         ]
         exprs += [f"{double}(M{k})" for k in range(1, 13) for double in ("wal", "pin")]
         for expr in exprs:
